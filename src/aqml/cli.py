@@ -99,6 +99,12 @@ def _validate(subcommand: str, cfg: dict) -> None:
         if any(not (0.0 <= a < 1.0) for a in cfg["alphas"]):
             raise ValueError("attack fractions must lie in [0, 1)")
     elif subcommand == "kmeans":
+        centers = np.asarray(cfg["blob_centers"], dtype=np.float64)
+        if centers.shape != (cfg["k"], cfg["d"]):
+            raise ValueError(
+                f"blob_centers shape {centers.shape} must be (k, d) = "
+                f"({cfg['k']}, {cfg['d']})"
+            )
         pc = kmeans.ProtocolConfig(
             k=cfg["k"], d=cfg["d"], n_participants=cfg["n_participants"],
             epsilon=cfg["epsilon"], rounds=cfg["rounds"],
@@ -190,8 +196,6 @@ def run_kmeans(cfg: dict, seed: int, out_dir: str) -> int:
     rng = stream(seed, "kmeans")
     centers = np.asarray(cfg["blob_centers"], dtype=np.float64)
     k, d = cfg["k"], cfg["d"]
-    if centers.shape != (k, d):
-        raise ValueError("blob_centers shape must be (k, d)")
     N = cfg["n_participants"]
     sizes = [N // k + (1 if i < N % k else 0) for i in range(k)]
     X = np.vstack(
@@ -199,7 +203,7 @@ def run_kmeans(cfg: dict, seed: int, out_dir: str) -> int:
          for c, m in zip(centers, sizes)]
     )
     X = X[rng.permutation(N)]
-    participants = [kmeans.Participant(x) for x in X]
+    participants = kmeans.Participants(X)
     pc = kmeans.ProtocolConfig(
         k=k, d=d, n_participants=N, epsilon=cfg["epsilon"], rounds=cfg["rounds"],
     )

@@ -2,12 +2,15 @@
 cluster membership and centroid sums, phase-estimation readout with an
 explicit rotation budget, the trace-norm distinguishability analysis of a
 single participant, and group-median robustness against a corrupted
-channel."""
+channel.
+
+Participants are one `Participants` value: an (N, d) coordinate array with
+entries in [-1, 1] plus an (N,) boolean participation mask."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -35,17 +38,35 @@ class ProtocolConfig:
 
 
 @dataclass(frozen=True)
-class Participant:
+class Participants:
+    """N participants: row j of `x` is participant j's vector, and
+    `participating[j]` says whether they take part (default: all do)."""
+
     x: np.ndarray
-    participating: bool = True
+    participating: np.ndarray | None = None
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=np.float64)
-        if np.any(~np.isfinite(x)):
-            raise ValueError("participant vector must be finite")
-        if np.max(np.abs(x)) > 1.0 + 1e-12:
+        if x.ndim != 2:
+            raise ValueError("participant array must be 2-D (N, d)")
+        if not np.all(np.isfinite(x)):
+            raise ValueError("participant vectors must be finite")
+        if x.size and np.max(np.abs(x)) > 1.0 + 1e-12:
             raise ValueError("participant coordinates must lie in [-1, 1]")
+        mask = (np.ones(len(x), dtype=bool) if self.participating is None
+                else np.asarray(self.participating, dtype=bool))
+        if mask.shape != (len(x),):
+            raise ValueError("participation mask must have shape (N,)")
         object.__setattr__(self, "x", np.clip(x, -1.0, 1.0))
+        object.__setattr__(self, "participating", mask)
+
+    def __len__(self) -> int:
+        return len(self.x)
+
+    @property
+    def active(self) -> np.ndarray:
+        """Vectors of the participating rows, in row order."""
+        return self.x[self.participating]
 
 
 @dataclass
@@ -140,14 +161,13 @@ def assign_clusters(
     """Nearest-centroid assignment; exact distance ties are broken by RNG
     so reruns with the same seed reproduce."""
     d2 = np.sum((vectors[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
-    best = np.min(d2, axis=1)
-    assign = np.empty(len(vectors), dtype=np.int64)
-    for j in range(len(vectors)):
-        ties = np.flatnonzero(d2[j] <= best[j] + 1e-15)
-        if len(ties) == 1 or rng is None:
-            assign[j] = ties[0]
-        else:
-            assign[j] = ties[rng.integers(0, len(ties))]
+    ties = d2 <= np.min(d2, axis=1, keepdims=True) + 1e-15
+    assign = np.argmax(ties, axis=1)  # first tied centroid
+    if rng is not None:
+        # one draw per multiply-tied row, in row order
+        for j in np.flatnonzero(np.count_nonzero(ties, axis=1) > 1):
+            tied = np.flatnonzero(ties[j])
+            assign[j] = tied[rng.integers(0, len(tied))]
     return assign
 
 
@@ -177,7 +197,7 @@ class RoundResult:
 
 
 def run_round(
-    participants: list,
+    participants: Participants,
     centroids: np.ndarray,
     cfg: ProtocolConfig,
     rng: np.random.Generator,
@@ -195,11 +215,8 @@ def run_round(
     if (k, d) != (cfg.k, cfg.d):
         raise ValueError("centroid array shape disagrees with the config")
     N = cfg.n_participants
-    active = [p for p in participants if p.participating]
-    frac = len(active) / N
-    vecs = (
-        np.array([p.x for p in active]) if active else np.zeros((0, d))
-    )
+    vecs = participants.active
+    frac = len(vecs) / N
     assign = assign_clusters(vecs, centroids, rng) if len(vecs) else np.array([], int)
 
     # ratio error budget: |S_hat/P_hat - S/P| <= (e_s + e_p)/P_hat, so a
@@ -243,11 +260,7 @@ def run_round(
     new_centroids = np.clip(new_centroids, -1.0, 1.0)
 
     min_p = float(np.min(probs[probs > cfg.epsilon])) if len(probs[probs > cfg.epsilon]) else 1.0
-    single = ProtocolConfig(
-        k=cfg.k, d=cfg.d, n_participants=cfg.n_participants, epsilon=cfg.epsilon,
-        rounds=1, ae_constant=cfg.ae_constant,
-    )
-    budget = rotation_budget(single, max(min_p, cfg.epsilon * 1.0001))
+    budget = rotation_budget(replace(cfg, rounds=1), max(min_p, cfg.epsilon * 1.0001))
     aborted = len(empty) == k
     if np.sum(probs) > frac + k * eps_coarse + 1e-12:
         raise AssertionError("estimated populations exceed the participation fraction")
@@ -351,7 +364,7 @@ class ProtocolResult:
 
 
 def run_protocol(
-    participants: list,
+    participants: Participants,
     cfg: ProtocolConfig,
     init: np.ndarray,
     rng: np.random.Generator,
@@ -368,15 +381,12 @@ def run_protocol(
     converged = False
     exhausted = False
     rounds_run = 0
+    # privacy pre-check budget of one round; it does not depend on the round
+    probe = rotation_budget(
+        replace(cfg, rounds=1), min_p=max(2 * cfg.epsilon, 1.0 / cfg.k)
+    )
     for _ in range(cfg.rounds):
-        # privacy pre-check: would this round's budget break the allowance?
-        probe = rotation_budget(
-            ProtocolConfig(
-                k=cfg.k, d=cfg.d, n_participants=cfg.n_participants,
-                epsilon=cfg.epsilon, rounds=1, ae_constant=cfg.ae_constant,
-            ),
-            min_p=max(2 * cfg.epsilon, 1.0 / cfg.k),
-        )
+        # would this round's budget break the allowance?
         next_total = q1 + q2 + probe.total
         if cfg.privacy_delta is not None:
             if (
@@ -401,7 +411,7 @@ def run_protocol(
     privacy = None
     if budget.total < cfg.n_participants:
         privacy = privacy_analysis(budget, cfg.n_participants, check_qubits=None)
-    vecs = np.array([p.x for p in participants if p.participating])
+    vecs = participants.active
     ref = centroids
     if len(vecs):
         ref = np.asarray(init, dtype=np.float64).copy()
@@ -414,7 +424,7 @@ def run_protocol(
 
 
 def group_median_aggregate(
-    participants: list,
+    participants: Participants,
     cfg: ProtocolConfig,
     init: np.ndarray,
     groups: int,
@@ -435,12 +445,10 @@ def group_median_aggregate(
     splits = np.array_split(rng.permutation(n), groups)
     group_centroids = []
     for g, idx in enumerate(splits):
-        members = [participants[i] for i in idx]
-        gcfg = ProtocolConfig(
-            k=cfg.k, d=cfg.d, n_participants=len(members), epsilon=cfg.epsilon,
-            rounds=cfg.rounds, ae_constant=cfg.ae_constant,
-            convergence_tol=cfg.convergence_tol,
-        )
+        members = Participants(participants.x[idx], participants.participating[idx])
+        # groups run without the privacy stop: each group reports its
+        # centroids after the configured rounds
+        gcfg = replace(cfg, n_participants=len(members), privacy_delta=None)
         out = run_protocol(members, gcfg, init, rng)
         cent = out.trajectory[-1]
         if g in corrupted_groups:

@@ -433,11 +433,12 @@ def test_criterion_10_boosting_adversary():
 
 
 def _blob_participants(rng, centers, sigma, n):
+    # one (n, d) draw is the same normal stream as n row draws in order
     centers = np.asarray(centers, dtype=np.float64)
-    pts = [np.clip(centers[i % len(centers)]
-                   + rng.normal(scale=sigma, size=centers.shape[1]), -1, 1)
-           for i in range(n)]
-    return [kmeans.Participant(p) for p in pts]
+    c = centers[np.arange(n) % len(centers)]
+    return kmeans.Participants(
+        np.clip(c + rng.normal(scale=sigma, size=c.shape), -1, 1)
+    )
 
 
 def test_criterion_11_kmeans_correctness():

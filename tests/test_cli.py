@@ -42,6 +42,16 @@ def test_kmeans_budget_exceeding_population_exits_2(tmp_path, capsys):
     assert "q1 + q2 < N" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("centers", [[[0.6, 0.6, 0.1]], [[0.6], [-0.6]],
+                                     [0.6, -0.6]])
+def test_kmeans_blob_centers_shape_exits_2(tmp_path, capsys, centers):
+    cfg = write_cfg(tmp_path, "centers.json", {"blob_centers": centers})
+    rc = cli.main(["kmeans", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 2
+    assert "blob_centers shape" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "kmeans_trajectory.csv")
+
+
 def test_verify_subcommand_passes(tmp_path, capsys):
     rc = cli.main(["verify", "--seed", "3", "--out", str(tmp_path)])
     assert rc == 0

@@ -12,13 +12,13 @@ from aqml.util import stream
 
 
 def make_blobs(rng, centers, sigma, n):
+    # row i sits at centers[i % k]; one draw of n rows is the same normal
+    # stream, in the same order, as n draws of one row each
     centers = np.asarray(centers, dtype=np.float64)
-    k = len(centers)
-    pts = []
-    for i in range(n):
-        c = centers[i % k]
-        pts.append(np.clip(c + rng.normal(scale=sigma, size=len(c)), -1, 1))
-    return [kmeans.Participant(p) for p in pts]
+    c = centers[np.arange(n) % len(centers)]
+    return kmeans.Participants(
+        np.clip(c + rng.normal(scale=sigma, size=c.shape), -1, 1)
+    )
 
 
 def test_ghz_channel_closed_form():
@@ -69,9 +69,9 @@ def test_rotation_budget_rejects_small_min_p():
 
 def test_participant_validation():
     with pytest.raises(ValueError):
-        kmeans.Participant(np.array([1.5, 0.0]))
+        kmeans.Participants(np.array([[1.5, 0.0]]))
     with pytest.raises(ValueError):
-        kmeans.Participant(np.array([np.nan, 0.0]))
+        kmeans.Participants(np.array([[np.nan, 0.0]]))
 
 
 def test_run_round_two_clusters_accuracy():
@@ -80,7 +80,7 @@ def test_run_round_two_clusters_accuracy():
     parts = make_blobs(rng, [[0.8, 0.8], [-0.8, -0.8]], 0.05, 2000)
     init = np.array([[0.5, 0.5], [-0.5, -0.5]])
     res = kmeans.run_round(parts, init, cfg, rng)
-    vecs = np.array([p.x for p in parts])
+    vecs = parts.x
     exact, exact_probs, _ = kmeans.classical_iteration(vecs, init)
     assert np.max(np.abs(res.centroids - exact)) <= cfg.epsilon
     assert np.max(np.abs(res.probs - exact_probs)) <= cfg.epsilon
@@ -90,8 +90,8 @@ def test_run_round_two_clusters_accuracy():
 def test_run_round_zero_participation_aborts():
     rng = stream(0, "km", "idle")
     cfg = kmeans.ProtocolConfig(k=2, d=1, n_participants=100, epsilon=0.05)
-    parts = [kmeans.Participant(np.array([0.5]), participating=False)
-             for _ in range(100)]
+    parts = kmeans.Participants(np.full((100, 1), 0.5),
+                                participating=np.zeros(100, dtype=bool))
     res = kmeans.run_round(parts, np.array([[0.5], [-0.5]]), cfg, rng)
     assert res.aborted
     assert sorted(res.empty_clusters) == [0, 1]
