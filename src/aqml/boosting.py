@@ -6,11 +6,11 @@ expectation-sign baseline, and bounded-fraction adversary experiments."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg, lcu, statevec
+from . import linalg, statevec
 
 
 @dataclass(frozen=True)
@@ -19,7 +19,6 @@ class WeakClassifier:
     normal vector: eigenvalue +1 along w, -1 on the complement."""
 
     w: np.ndarray
-    tag: str = "mean-difference"
 
     def __post_init__(self):
         w = np.asarray(self.w, dtype=np.float64)
@@ -131,16 +130,16 @@ class ClassificationResult:
 
 def classify_by_eigenspace(
     psi: np.ndarray,
-    spec: EnsembleSpec,
+    C: np.ndarray,
     bits: int = 10,
     shots: int | None = None,
-    sim_mode: str = "exact-exp",
     rng: np.random.Generator | None = None,
-    lcu_cfg: lcu.TaylorConfig | None = None,
 ) -> ClassificationResult:
-    """Phase-estimate e^{-iC} on psi and aggregate sample mass on positive
-    vs negative eigenphase bands; the class is the sign of mass_plus - 1/2
-    with exact ties resolved to +1 and flagged.
+    """Phase-estimate e^{-iC} on psi for an ensemble operator C (clean,
+    `ensemble_operator(spec)`, or attacked, `AttackReport.operator`) and
+    aggregate sample mass on positive vs negative eigenphase bands; the
+    class is the sign of mass_plus - 1/2 with exact ties resolved to +1 and
+    flagged.
 
     shots = None uses the exact phase-estimation distribution (one coherent
     pass); integer shots draw multinomial samples for re-preparable states.
@@ -148,17 +147,7 @@ def classify_by_eigenspace(
     psi = np.asarray(psi, dtype=np.complex128)
     if abs(np.linalg.norm(psi) - 1.0) > 1e-9:
         raise ValueError("input state must be unit norm")
-    C = ensemble_operator(spec)
-    if sim_mode == "exact-exp":
-        U = np.array(linalg.operator_exp(C, 1.0))
-    elif sim_mode == "lcu-noisy":
-        cfg = lcu_cfg if lcu_cfg is not None else lcu.TaylorConfig()
-        if rng is None:
-            raise ValueError("lcu-noisy mode needs an rng")
-        rep = lcu.simulate_noisy(lcu.SparseHermitian(C), cfg, rng)
-        U = lcu.polar_unitary(rep.effective_channel)
-    else:
-        raise ValueError(f"unknown sim_mode {sim_mode!r}")
+    U = np.array(linalg.operator_exp(C, 1.0))
 
     # eigenvalue E of C maps to phase (-E/2pi) mod 1: positive band is the
     # upper half of the phase circle (phase in (1/2, 1)), negative the lower
@@ -172,9 +161,8 @@ def classify_by_eigenspace(
         weights = counts / shots
     else:
         weights = dist
-    signed = np.where(phases == 0.0, 0.0, np.where(phases > 0.5, 1.0, -1.0))
-    mass_plus = float(np.sum(weights[signed > 0]))
-    mass_zero = float(np.sum(weights[signed == 0]))
+    mass_plus = float(np.sum(weights[phases > 0.5]))
+    mass_zero = float(weights[0])
     # eigenvalue mass sitting at phase 0 (E = 0) cannot be assigned a band
     unresolved = mass_zero > 2.0 ** (-bits)
     mass_plus_eff = mass_plus + mass_zero / 2.0
@@ -207,13 +195,18 @@ class AttackSpec:
     """Replacement attack on at most an alpha fraction of ensemble weight."""
 
     alpha: float
-    strategy: str = "flip-worst"  # or 'replace-target', 'custom'
+    # 'flip-worst' and 'replace-target' both negate the chosen classifiers
+    # (heaviest first, or `target_indices` in order when given); 'custom'
+    # substitutes the `replacements` operators instead
+    strategy: str = "flip-worst"
     target_indices: tuple = ()
     replacements: tuple = ()  # operators for 'custom'
 
     def __post_init__(self):
         if not (0.0 <= self.alpha < 1.0):
             raise ValueError("attack fraction must satisfy 0 <= alpha < 1")
+        if self.strategy not in ("flip-worst", "replace-target", "custom"):
+            raise ValueError(f"unknown attack strategy {self.strategy!r}")
 
 
 @dataclass
@@ -243,11 +236,7 @@ def attack_ensemble(spec: EnsembleSpec, attack: AttackSpec) -> AttackReport:
         b = float(spec.weights[j])
         if b <= 0 or used + b > budget + 1e-12:
             continue
-        if attack.strategy == "flip-worst":
-            new_ops[j] = -ops[j]
-        elif attack.strategy == "replace-target":
-            new_ops[j] = -ops[j]
-        elif attack.strategy == "custom":
+        if attack.strategy == "custom":
             try:
                 R = np.asarray(next(custom), dtype=np.float64)
             except StopIteration:
@@ -259,7 +248,7 @@ def attack_ensemble(spec: EnsembleSpec, attack: AttackSpec) -> AttackReport:
                 raise ValueError("replacement operator must be Hermitian and unitary")
             new_ops[j] = R
         else:
-            raise ValueError(f"unknown attack strategy {attack.strategy!r}")
+            new_ops[j] = -ops[j]
         used += b
     Cp = sum(b * op for b, op in zip(spec.weights, new_ops))
     norm_shift = linalg.norm(Cp - C, "spectral")
@@ -273,29 +262,6 @@ def attack_ensemble(spec: EnsembleSpec, attack: AttackSpec) -> AttackReport:
     return AttackReport(
         spec=spec, operator=Cp, norm_shift=norm_shift, eig_shift_max=eig_shift,
         alpha_used=used,
-    )
-
-
-def classify_operator_by_eigenspace(
-    psi: np.ndarray, C: np.ndarray, bits: int = 10
-) -> ClassificationResult:
-    """Eigenspace classification against an explicit ensemble operator
-    (used for attacked ensembles given by their operator)."""
-    psi = np.asarray(psi, dtype=np.complex128)
-    U = np.array(linalg.operator_exp(linalg.check_hermitian(C), 1.0))
-    dist = statevec.phase_estimate_distribution(U, psi, bits)
-    n_grid = len(dist)
-    phases = np.arange(n_grid) / n_grid
-    mass_plus = float(np.sum(dist[phases > 0.5]))
-    mass_zero = float(dist[0])
-    mass_plus_eff = mass_plus + mass_zero / 2.0
-    tie = abs(mass_plus_eff - 0.5) < 1e-12
-    return ClassificationResult(
-        label=1 if mass_plus_eff >= 0.5 else -1,
-        confidence=abs(mass_plus_eff - 0.5),
-        mass_plus=mass_plus_eff,
-        tie=tie,
-        unresolved=mass_zero > 2.0 ** (-bits),
     )
 
 

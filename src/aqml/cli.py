@@ -9,12 +9,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
 import numpy as np
 
-from . import boosting, embedding, kmeans, qpca, verify
+from . import boosting, embedding, kmeans, qpca, statevec, verify
 from .util import fmt_float, stream
 
 CSV_SCHEMA_VERSION = "aqml-csv-1"
@@ -66,6 +67,31 @@ _SCHEMAS = {
 }
 
 
+# inclusive [low, high] of each bounded numeric key
+_RANGES = {
+    "qpca": {
+        "n_vectors": (1, math.inf),
+        "dim": (1, math.inf),
+        "norm_bound": (0.0, math.inf),
+        "seeds": (0, math.inf),
+        "sample_bits": (1, statevec.PHASE_BITS_CAP),
+        "sample_shots": (1, math.inf),
+    },
+    "boost": {
+        "n_classifiers": (1, math.inf),
+        "dim": (1, math.inf),
+        "n_points": (2, math.inf),
+        "seeds": (0, math.inf),
+        "bits": (1, statevec.PHASE_BITS_CAP),
+    },
+    "kmeans": {
+        "d": (1, math.inf),
+        "blob_sigma": (0.0, math.inf),
+        "privacy_check_qubits": (1, kmeans.DENSITY_QUBITS_CAP),
+    },
+}
+
+
 def parse_config(subcommand: str, path: str | None) -> dict:
     if subcommand not in _SCHEMAS:
         raise ValueError(f"unknown subcommand {subcommand!r}")
@@ -74,7 +100,7 @@ def parse_config(subcommand: str, path: str | None) -> dict:
         cfg = defaults
     else:
         with open(path) as fh:
-            user = json.load(fh)
+            user = json.load(fh, parse_constant=_reject_constant)
         if not isinstance(user, dict):
             raise ValueError("config file must hold a JSON object")
         unknown = sorted(set(user) - set(defaults))
@@ -82,19 +108,47 @@ def parse_config(subcommand: str, path: str | None) -> dict:
             raise ValueError(
                 f"unknown config keys for {subcommand!r}: {', '.join(unknown)}"
             )
+        for key, value in user.items():
+            _check_type(key, value, defaults[key])
         cfg = {**defaults, **user}
     _validate(subcommand, cfg)
     return cfg
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def _check_type(key: str, value, default) -> None:
+    """A value must have the JSON type of its default: an int default takes
+    an int, a float default an int or a float, a list default a list."""
+    if isinstance(default, list):
+        ok = isinstance(value, list)
+    elif isinstance(default, int):
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    else:
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not ok:
+        raise TypeError(
+            f"{key}: expected {type(default).__name__}, got {type(value).__name__}"
+        )
+
+
 def _validate(subcommand: str, cfg: dict) -> None:
+    for key, (low, high) in _RANGES.get(subcommand, {}).items():
+        if not low <= cfg[key] <= high:
+            raise ValueError(f"{key} must lie in [{low}, {high}]")
     if subcommand == "qpca":
+        if cfg["lipschitz"] <= 0.0:
+            raise ValueError("lipschitz must be positive")
         if not (0.0 < cfg["median_epsilon"] < 0.25):
             raise ValueError("median_epsilon: epsilon < 1/4 required")
         if not (0.0 <= cfg["median_epsilon_prime"] < cfg["median_epsilon"] / 4):
             raise ValueError("median_epsilon_prime must be < median_epsilon / 4")
         if any(not (0.0 <= a < 0.5) for a in cfg["alphas"]):
             raise ValueError("contamination fractions must lie in [0, 1/2)")
+        if any(a * cfg["lipschitz"] > 1.0 for a in cfg["alphas"]):
+            raise ValueError("alpha * lipschitz must be <= 1 for every alpha")
     elif subcommand == "boost":
         if any(not (0.0 <= a < 1.0) for a in cfg["alphas"]):
             raise ValueError("attack fractions must lie in [0, 1)")
@@ -162,11 +216,13 @@ def run_boost(cfg: dict, seed: int, out_dir: str) -> int:
         spec = boosting.train_bootstrap_ensemble(X, y, cfg["n_classifiers"], rng)
         v = np.concatenate([X[0], [1.0]])
         psi = v / np.linalg.norm(v)
+        clean = boosting.classify_by_eigenspace(
+            psi, boosting.ensemble_operator(spec), bits=cfg["bits"]
+        )
+        mean = boosting.classify_by_mean(psi, spec)
         for alpha in cfg["alphas"]:
-            clean = boosting.classify_by_eigenspace(psi, spec, bits=cfg["bits"])
-            mean = boosting.classify_by_mean(psi, spec)
             rep = boosting.attack_ensemble(spec, boosting.AttackSpec(alpha=alpha))
-            attacked = boosting.classify_operator_by_eigenspace(
+            attacked = boosting.classify_by_eigenspace(
                 psi, rep.operator, bits=cfg["bits"]
             )
             if rep.eig_shift_max > 2 * rep.alpha_used + 1e-10:
@@ -212,9 +268,8 @@ def run_kmeans(cfg: dict, seed: int, out_dir: str) -> int:
 
     traj_rows = []
     status = 0
-    ref = np.asarray(init, dtype=np.float64)
     for r in range(1, len(result.trajectory)):
-        ref, _, _ = kmeans.classical_iteration(X, ref)
+        ref = result.classical_reference[r]
         est = result.trajectory[r]
         for p in range(k):
             for q in range(d):
@@ -280,7 +335,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = parse_config(args.subcommand, args.config)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     os.makedirs(args.out, exist_ok=True)

@@ -4,9 +4,8 @@ contamination model."""
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,36 +39,6 @@ class RawDataset:
     @property
     def dim(self) -> int:
         return self.vectors.shape[1]
-
-
-def save_dataset(data: RawDataset, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["dim", "R"])
-        writer.writerow([data.dim, format(data.norm_bound, ".17g")])
-        for row in data.vectors:
-            writer.writerow([format(x, ".17g") for x in row])
-
-
-def load_dataset(path) -> RawDataset:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["dim", "R"]:
-            raise ValueError(f"bad dataset header {header!r}; expected ['dim', 'R']")
-        dim_str, r_str = next(reader)
-        dim, R = int(dim_str), float(r_str)
-        if not math.isfinite(R):
-            raise ValueError("R must be finite")
-        rows = []
-        for row in reader:
-            if len(row) != dim:
-                raise ValueError(f"row length {len(row)} != declared dim {dim}")
-            vals = [float(x) for x in row]
-            if not all(math.isfinite(v) for v in vals):
-                raise ValueError("dataset contains NaN or Inf")
-            rows.append(vals)
-    return RawDataset(np.array(rows), R)
 
 
 @dataclass(frozen=True)
@@ -263,14 +232,13 @@ def median_stability_check(
     trials: int,
     n_samples: int = 10**5,
     rng: np.random.Generator | None = None,
-    adversarial: bool = True,
 ) -> dict:
     """Empirically verify the alpha*L bound on the median shift under
     contamination at total variational distance <= alpha.
 
-    The adversarial mode moves an alpha mass to the top quantile (one-sided
-    placement, which saturates the bound); otherwise mass moves to the upper
-    end point.  Returns measured shifts and the bound with sampling slack.
+    The contamination moves an alpha mass from below the median to the upper
+    end point Q(1) (one-sided placement, which saturates the bound).  Returns
+    measured shifts and the bound with sampling slack.
     """
     if not 0.0 <= alpha < 0.5:
         raise ValueError("alpha must lie in [0, 1/2)")

@@ -10,7 +10,7 @@ entries in [-1, 1] plus an (N,) boolean participation mask."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -73,7 +73,6 @@ class Participants:
 class RotationBudget:
     q1: int
     q2: int
-    per_round: list = field(default_factory=list)
 
     def __post_init__(self):
         if self.q1 < 0 or self.q2 < 0:
@@ -148,11 +147,7 @@ def rotation_budget(
     c2 = cfg.ae_constant if c2 is None else c2
     q1 = int(math.ceil(c1 * cfg.rounds / cfg.epsilon))
     q2 = int(math.ceil(c2 * cfg.rounds * cfg.d / (min_p * cfg.epsilon)))
-    per_round = [
-        (int(math.ceil(c1 / cfg.epsilon)), int(math.ceil(c2 * cfg.d / (min_p * cfg.epsilon))))
-        for _ in range(cfg.rounds)
-    ]
-    return RotationBudget(q1=q1, q2=q2, per_round=per_round)
+    return RotationBudget(q1=q1, q2=q2)
 
 
 def assign_clusters(
@@ -293,12 +288,15 @@ def privacy_closed_form(q_total: int, n_participants: int) -> float:
     return 0.5 + 0.5 * abs(math.sin(q_total / (2.0 * n_participants)))
 
 
+DENSITY_QUBITS_CAP = 12
+
+
 def privacy_density_matrix(q_total: int, n_participants: int, qubits: int) -> float:
     """Exact optimum by trace distance of the pure states before and after
     the participant's rotations, on an explicit `qubits`-qubit register
     prepared in the extremal superposition."""
-    if qubits > 12:
-        raise ValueError("density-matrix check capped at 12 qubits")
+    if qubits > DENSITY_QUBITS_CAP:
+        raise ValueError(f"density-matrix check capped at {DENSITY_QUBITS_CAP} qubits")
     dim = 2**qubits
     # the participant's q rotations e^{-iZ/(2N)} act on their own qubit
     # (qubit 0 here); other register qubits are untouched adversary space
@@ -333,25 +331,6 @@ def privacy_analysis(
     )
 
 
-POPULATION_CAP = 10**9
-
-
-def required_population(
-    R: int, d: int, k: int, epsilon: float, delta: float, c: float = 1.0
-) -> int:
-    """Planning figure: participants needed for R rounds at precision
-    epsilon and privacy budget delta, N = c R d k / (eps delta)."""
-    if min(R, d, k) < 1 or epsilon <= 0 or delta <= 0 or c <= 0:
-        raise ValueError("all arguments must be positive")
-    n = c * R * d * k / (epsilon * delta)
-    if n > POPULATION_CAP:
-        raise ValueError(
-            f"required population {n:.3g} exceeds the cap {POPULATION_CAP}; "
-            "tighten delta or epsilon"
-        )
-    return int(math.ceil(n))
-
-
 @dataclass
 class ProtocolResult:
     trajectory: list  # list of centroid arrays per round (including seed)
@@ -360,7 +339,9 @@ class ProtocolResult:
     privacy: PrivacyReport | None
     converged: bool
     privacy_exhausted: bool
-    classical_reference: np.ndarray | None = None
+    # exact Lloyd centroids aligned with the trajectory: entry r is r Lloyd
+    # steps from the seed on the participating rows
+    classical_reference: list
 
 
 def run_protocol(
@@ -371,16 +352,18 @@ def run_protocol(
 ) -> ProtocolResult:
     """Iterate rounds until centroid movement falls below the convergence
     tolerance or the cumulative rotation budget crosses the privacy
-    allowance; returns the full trajectory plus a classical Lloyd reference
-    run on the same data."""
+    allowance; returns the full trajectory plus, for each of its entries, the
+    exact Lloyd centroids after as many steps on the participating rows (no
+    participating rows: the seed throughout)."""
     centroids = np.asarray(init, dtype=np.float64).copy()
     tol = cfg.convergence_tol if cfg.convergence_tol is not None else cfg.epsilon
     trajectory = [centroids.copy()]
+    vecs = participants.active
+    reference = [centroids.copy()]
     probs_hist = []
     q1 = q2 = 0
     converged = False
     exhausted = False
-    rounds_run = 0
     # privacy pre-check budget of one round; it does not depend on the round
     probe = rotation_budget(
         replace(cfg, rounds=1), min_p=max(2 * cfg.epsilon, 1.0 / cfg.k)
@@ -399,7 +382,10 @@ def run_protocol(
         res = run_round(participants, centroids, cfg, rng)
         q1 += res.budget.q1
         q2 += res.budget.q2
-        rounds_run += 1
+        ref = reference[-1]
+        if len(vecs):
+            ref, _, _ = classical_iteration(vecs, ref)
+        reference.append(ref)
         move = float(np.max(np.abs(res.centroids - centroids)))
         centroids = res.centroids
         trajectory.append(centroids.copy())
@@ -411,15 +397,10 @@ def run_protocol(
     privacy = None
     if budget.total < cfg.n_participants:
         privacy = privacy_analysis(budget, cfg.n_participants, check_qubits=None)
-    vecs = participants.active
-    ref = centroids
-    if len(vecs):
-        ref = np.asarray(init, dtype=np.float64).copy()
-        for _ in range(max(rounds_run, 1)):
-            ref, _, _ = classical_iteration(vecs, ref)
     return ProtocolResult(
         trajectory=trajectory, probs=probs_hist, budget=budget, privacy=privacy,
-        converged=converged, privacy_exhausted=exhausted, classical_reference=ref,
+        converged=converged, privacy_exhausted=exhausted,
+        classical_reference=reference,
     )
 
 

@@ -6,7 +6,7 @@ recovery of the effective (average) Hamiltonian."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from .util import QueryCounter
 @dataclass(frozen=True)
 class SparseHermitian:
     """Dense storage of a d-sparse Hermitian matrix with its sparsity
-    metadata; the entry accessor view is (row p, slot j) -> (column, value)."""
+    metadata."""
 
     matrix: np.ndarray
     threshold: float = 1e-12
@@ -38,18 +38,13 @@ class SparseHermitian:
     def max_norm(self) -> float:
         return float(np.max(np.abs(self.matrix)))
 
-    def row_entries(self, p: int):
-        cols = np.flatnonzero(np.abs(self.matrix[p]) > self.threshold)
-        return [(int(c), complex(self.matrix[p, c])) for c in cols]
-
 
 @dataclass
 class OneSparseDecomposition:
     """Sum of one-sparse Hermitian terms reconstructing the source matrix;
-    colors[i] labels term i (color 0 is the diagonal term when present)."""
+    the diagonal term, when present, comes first."""
 
     terms: list  # list of (dim, dim) arrays, each one-sparse Hermitian
-    colors: list
 
     @property
     def n_terms(self) -> int:
@@ -70,11 +65,10 @@ def one_sparse_decompose(H: SparseHermitian | np.ndarray) -> OneSparseDecomposit
         H = SparseHermitian(np.asarray(H))
     A = H.matrix
     dim = H.dim
-    terms, colors = [], []
+    terms = []
     diag = np.diag(np.diag(A))
     if np.any(np.abs(np.diag(A)) > H.threshold):
         terms.append(diag.astype(np.complex128))
-        colors.append(0)
     # greedy edge coloring of the off-diagonal support
     edges = [
         (p, q)
@@ -98,8 +92,7 @@ def one_sparse_decompose(H: SparseHermitian | np.ndarray) -> OneSparseDecomposit
                 term[p, q] = A[p, q]
                 term[q, p] = A[q, p]
         terms.append(term)
-        colors.append(c)
-    dec = OneSparseDecomposition(terms=terms, colors=colors)
+    dec = OneSparseDecomposition(terms=terms)
     # one-sparse guarantee: every term has at most one nonzero per row
     for term in dec.terms:
         if np.max(np.sum(np.abs(term) > H.threshold, axis=1)) > 1:

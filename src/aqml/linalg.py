@@ -3,7 +3,7 @@ operator exponentials and the norms used by the perturbation bounds."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,13 +48,6 @@ class EigenDecomposition:
     @property
     def dim(self) -> int:
         return len(self.eigenvalues)
-
-    @property
-    def gap(self) -> float:
-        """Minimum gap between consecutive eigenvalues."""
-        if self.dim < 2:
-            return np.inf
-        return float(np.min(np.diff(self.eigenvalues)))
 
     def reconstruct(self) -> np.ndarray:
         V = self.eigenvectors

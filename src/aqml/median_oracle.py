@@ -2,16 +2,16 @@
 gamma-approximate matrix-element oracle composed from it.
 
 The "coherent" part of the construction is modeled by the success/failure
-contract of NoisyScalarOracle: each probability readout is within epsilon0 of
-the truth except with probability delta0, and failures may carry arbitrary
-content.  Search endpoints are tracked as exact dyadic rationals so interval
-midpoints stay exact.
+contract of `statevec.amplitude_estimate`: each probability readout is within
+epsilon0 of the truth except with probability delta0, and failures may carry
+arbitrary content.  Search endpoints are tracked as exact dyadic rationals so
+interval midpoints stay exact.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -70,33 +70,8 @@ class MedianSearchConfig:
 
 
 @dataclass
-class NoisyScalarOracle:
-    """A scalar reported within `eta` of `true_value` except with
-    probability `delta`, in which case the sample is adversarial
-    ('worst-case') or uniform on the declared range."""
-
-    true_value: float
-    eta: float
-    delta: float
-    failure_mode: str = "worst-case"
-    value_range: tuple = (0.0, 1.0)
-    counter: QueryCounter = field(default_factory=QueryCounter)
-
-    def sample(self, rng: np.random.Generator) -> float:
-        lo, hi = self.value_range
-        self.counter.charge("oracle", 1)
-        if self.delta > 0.0 and rng.random() < self.delta:
-            if self.failure_mode == "uniform":
-                return float(lo + (hi - lo) * rng.random())
-            return float(lo if self.true_value > (lo + hi) / 2 else hi)
-        val = self.true_value + self.eta * (2.0 * rng.random() - 1.0)
-        return float(min(hi, max(lo, val)))
-
-
-@dataclass
 class MedianSearchResult:
     value: float
-    iterations: int
     queries: int
     trace: list  # (midpoint, estimate) per iteration
 
@@ -149,7 +124,6 @@ def binary_search_median(
     mid = (left + right) / 2
     return MedianSearchResult(
         value=lo + float(mid) * (hi - lo),
-        iterations=cfg.p_max,
         queries=counter.total,
         trace=trace,
     )

@@ -219,14 +219,7 @@ def amplitude_estimate_circuit(success_prob: float, bits: int) -> np.ndarray:
 class PhaseEstimateResult:
     samples: list  # (phase in [0,1), multiplicity) pairs
     bits: int
-    failure_prob: float
     distribution: np.ndarray = field(repr=False, default=None)
-
-    def phases(self) -> np.ndarray:
-        return np.array([p for p, _ in self.samples])
-
-    def multiplicities(self) -> np.ndarray:
-        return np.array([m for _, m in self.samples])
 
 
 def phase_estimate_distribution(U, psi, bits: int) -> np.ndarray:
@@ -279,7 +272,7 @@ def phase_estimate(
         rng = np.random.default_rng(0)
     counts = rng.multinomial(shots, dist)
     samples = [(y / 2**bits, int(c)) for y, c in enumerate(counts) if c > 0]
-    return PhaseEstimateResult(samples=samples, bits=bits, failure_prob=0.0, distribution=dist)
+    return PhaseEstimateResult(samples=samples, bits=bits, distribution=dist)
 
 
 def phase_to_eigenvalue(phase: float, scale: float = 1.0) -> float:

@@ -3,8 +3,6 @@ guarantee, used by the `verify` CLI subcommand and by CI as a smoke gate."""
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import boosting, embedding, kmeans, lcu, linalg, median_oracle, qpca, statevec

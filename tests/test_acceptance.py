@@ -378,7 +378,9 @@ def test_criterion_10_boosting_adversary():
     cls3 = [boosting.WeakClassifier(w.copy()) for _ in range(3)]
     spec3 = boosting.EnsembleSpec(cls3, np.full(3, 1.0 / 3.0))
     psi3 = np.concatenate([w[:2] / np.linalg.norm(w[:2]), [0.0]])
-    clean3 = boosting.classify_by_eigenspace(psi3, spec3, bits=10).label
+    clean3 = boosting.classify_by_eigenspace(
+        psi3, boosting.ensemble_operator(spec3), bits=10
+    ).label
     exhaustive_ok = True
     for j in range(3):
         rep = boosting.attack_ensemble(
@@ -386,7 +388,7 @@ def test_criterion_10_boosting_adversary():
                                        strategy="replace-target",
                                        target_indices=(j,))
         )
-        att = boosting.classify_operator_by_eigenspace(psi3, rep.operator, bits=10)
+        att = boosting.classify_by_eigenspace(psi3, rep.operator, bits=10)
         if att.label != clean3:
             exhaustive_ok = False
 
@@ -413,11 +415,11 @@ def test_criterion_10_boosting_adversary():
             continue
         psi = np.zeros(dim)
         psi[0] = 1.0
-        clean = boosting.classify_by_eigenspace(psi, spec, bits=10).label
+        clean = boosting.classify_by_eigenspace(psi, C, bits=10).label
         rep = boosting.attack_ensemble(
             spec, boosting.AttackSpec(alpha=0.9 * gamma / 4.0)
         )
-        att = boosting.classify_operator_by_eigenspace(psi, rep.operator, bits=10)
+        att = boosting.classify_by_eigenspace(psi, rep.operator, bits=10)
         if att.label != clean:
             rand_ok = False
 
@@ -459,7 +461,7 @@ def test_criterion_11_kmeans_correctness():
                                         epsilon=eps, rounds=3)
             out = kmeans.run_protocol(parts, cfg, init, rng)
             err = float(np.max(np.abs(out.trajectory[-1]
-                                      - out.classical_reference)))
+                                      - out.classical_reference[-1])))
             if err > eps:
                 acc_ok = False
                 detail.append(f"{name} eps={eps}: {err:.4f}")

@@ -61,8 +61,8 @@ def test_eigenspace_classification_on_eigenvectors():
     dec = linalg.eig_hermitian(C)
     plus = dec.eigenvectors[:, np.argmax(dec.eigenvalues)]
     minus = dec.eigenvectors[:, np.argmin(dec.eigenvalues)]
-    res_p = boosting.classify_by_eigenspace(plus, spec, bits=10)
-    res_m = boosting.classify_by_eigenspace(minus, spec, bits=10)
+    res_p = boosting.classify_by_eigenspace(plus, C, bits=10)
+    res_m = boosting.classify_by_eigenspace(minus, C, bits=10)
     assert res_p.label == 1 and res_p.mass_plus >= 0.99
     assert res_m.label == -1 and res_m.mass_plus <= 0.01
 
@@ -73,7 +73,7 @@ def test_eigenspace_classification_sampled_mode():
     dec = linalg.eig_hermitian(C)
     plus = dec.eigenvectors[:, np.argmax(dec.eigenvalues)]
     res = boosting.classify_by_eigenspace(
-        plus, spec, bits=10, shots=2000, rng=stream(0, "boost", "shot")
+        plus, C, bits=10, shots=2000, rng=stream(0, "boost", "shot")
     )
     assert res.label == 1
     assert res.mass_plus >= 0.95
@@ -158,6 +158,13 @@ def test_attack_custom_replacement_validated():
         boosting.attack_ensemble(spec, attack)
 
 
+def test_attack_unknown_strategy_rejected():
+    # on two_reflections_spec() no weight of 1/2 fits alpha = 0.4, so the
+    # attack loop never reads the strategy; the spec itself must reject it
+    with pytest.raises(ValueError, match="unknown attack strategy"):
+        boosting.AttackSpec(alpha=0.4, strategy="bogus")
+
+
 def test_eigenspace_stable_under_small_attack():
     # with gap gamma and alpha < gamma/4 the eigenspace decision on a
     # simultaneous eigenvector cannot flip
@@ -171,14 +178,14 @@ def test_eigenspace_stable_under_small_attack():
     C = boosting.ensemble_operator(spec)
     gamma = 2.0 * float(np.min(np.abs(np.linalg.eigvalsh(C))))
     psi = np.array([1.0, 0.0])
-    clean = boosting.classify_by_eigenspace(psi, spec, bits=10)
+    clean = boosting.classify_by_eigenspace(psi, C, bits=10)
     alpha = gamma / 4.0 - 0.05
     assert alpha > 0
     rep = boosting.attack_ensemble(
         spec, boosting.AttackSpec(alpha=alpha, strategy="replace-target",
                                   target_indices=(3,))
     )
-    attacked = boosting.classify_operator_by_eigenspace(psi, rep.operator, bits=10)
+    attacked = boosting.classify_by_eigenspace(psi, rep.operator, bits=10)
     assert attacked.label == clean.label
 
 

@@ -52,6 +52,36 @@ def test_kmeans_blob_centers_shape_exits_2(tmp_path, capsys, centers):
     assert not os.path.exists(tmp_path / "kmeans_trajectory.csv")
 
 
+@pytest.mark.parametrize("sub,payload", [
+    ("kmeans", {"blob_centers": {"a": 1}}),
+    ("kmeans", {"k": 2, "d": 0, "blob_centers": [[], []]}),
+    ("kmeans", {"rounds": 1.5}),
+    ("qpca", {"seeds": "two"}),
+    ("qpca", {"n_vectors": 0}),
+    ("qpca", {"alphas": [0.45], "lipschitz": 3.0}),
+    ("qpca", {"sample_bits": 40}),
+    ("boost", {"bits": 0}),
+    ("boost", {"n_points": 1}),
+    ("boost", {"n_classifiers": 0}),
+    ("boost", {"dim": 0}),
+    ("boost", {"seeds": -1}),
+    ("qpca", {"dim": 0}),
+    ("qpca", {"sample_shots": 0}),
+    ("qpca", {"norm_bound": -1.0}),
+    ("qpca", {"lipschitz": 0.0}),
+    ("qpca", {"lipschitz": float("nan")}),
+    ("kmeans", {"blob_sigma": -1.0}),
+    ("kmeans", {"privacy_check_qubits": 20}),
+    ("kmeans", {"blob_centers": [[float("inf"), 0.6], [-0.6, -0.6]]}),
+])
+def test_malformed_config_exits_2(tmp_path, capsys, sub, payload):
+    cfg = write_cfg(tmp_path, "bad.json", payload)
+    rc = cli.main([sub, "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
+
+
 def test_verify_subcommand_passes(tmp_path, capsys):
     rc = cli.main(["verify", "--seed", "3", "--out", str(tmp_path)])
     assert rc == 0

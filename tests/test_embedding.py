@@ -216,15 +216,6 @@ def test_median_stability_saturates():
     assert rep["max_shift"] >= 0.9 * rep["bound"]
 
 
-def test_dataset_roundtrip(tmp_path):
-    raw = embedding.RawDataset(stream(0, "emb", "io").normal(size=(6, 3)) / 5, 1.0)
-    path = tmp_path / "data.csv"
-    embedding.save_dataset(raw, path)
-    back = embedding.load_dataset(path)
-    assert np.array_equal(back.vectors, raw.vectors)
-    assert back.norm_bound == raw.norm_bound
-
-
 def test_distribution_spec_rejects_lipschitz_violation():
     with pytest.raises(ValueError):
         embedding.DistributionSpec(lambda u: math.tan(3.0 * (u - 0.5)), 1.0)

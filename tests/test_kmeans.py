@@ -147,14 +147,6 @@ def test_privacy_precondition_rejected():
         kmeans.privacy_analysis(budget, n_participants=100)
 
 
-def test_required_population_examples():
-    assert kmeans.required_population(1, 1, 1, 0.1, 0.1) == 100
-    assert kmeans.required_population(2, 1, 1, 0.1, 0.1) == 200
-    assert kmeans.required_population(1, 3, 2, 0.1, 0.1) == 600
-    with pytest.raises(ValueError):
-        kmeans.required_population(1, 1, 1, 1e-6, 1e-6)
-
-
 def test_run_protocol_tracks_lloyd():
     rng = stream(0, "km", "proto")
     n = 4000
@@ -163,11 +155,30 @@ def test_run_protocol_tracks_lloyd():
     parts = make_blobs(rng, [[0.6, 0.6], [-0.6, -0.6]], 0.05, n)
     init = np.array([[0.3, 0.2], [-0.3, -0.2]])
     out = kmeans.run_protocol(parts, cfg, init, rng)
-    assert np.max(np.abs(out.trajectory[-1] - out.classical_reference)) <= (
+    assert np.max(np.abs(out.trajectory[-1] - out.classical_reference[-1])) <= (
         2.0 * cfg.epsilon
     )
     assert out.privacy is not None
     assert out.privacy.p_opt_exact <= 0.5 + out.privacy.bound + 1e-9
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_classical_reference_aligned_with_trajectory(masked):
+    rng = stream(0, "km", "ref", str(masked))
+    n = 2000
+    parts = make_blobs(rng, [[0.6, 0.6], [-0.6, -0.6]], 0.05, n)
+    if masked:
+        parts = kmeans.Participants(parts.x, rng.random(n) < 0.7)
+    cfg = kmeans.ProtocolConfig(k=2, d=2, n_participants=n, epsilon=0.05,
+                                rounds=3, convergence_tol=0.0)
+    init = np.array([[0.3, 0.2], [-0.3, -0.2]])
+    out = kmeans.run_protocol(parts, cfg, init, rng)
+    assert len(out.trajectory) == 4
+    assert len(out.classical_reference) == len(out.trajectory)
+    ref = init
+    for entry in out.classical_reference:
+        assert np.array_equal(entry, ref)
+        ref, _, _ = kmeans.classical_iteration(parts.active, ref)
 
 
 def test_run_protocol_privacy_delta_zero_runs_nothing():

@@ -148,13 +148,3 @@ def test_matrix_element_random_entries():
     sigma = math.sqrt(delta * (1 - delta) / trials)
     assert good / trials >= 1.0 - delta - 3.0 * sigma
 
-
-def test_noisy_scalar_oracle_contract():
-    oracle = mo.NoisyScalarOracle(
-        true_value=0.4, eta=0.05, delta=0.1, failure_mode="uniform"
-    )
-    rng = stream(0, "mo", "nso")
-    samples = np.array([oracle.sample(rng) for _ in range(5000)])
-    within = np.mean(np.abs(samples - 0.4) <= 0.05 + 1e-12)
-    assert within >= 1.0 - 0.1 - 3.0 * math.sqrt(0.1 * 0.9 / 5000)
-    assert oracle.counter.charges["oracle"] == 5000
