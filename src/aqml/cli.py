@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import boosting, embedding, kmeans, qpca, statevec, verify
+from . import boosting, embedding, kmeans, linalg, qpca, statevec, verify
 from .util import fmt_float, stream
 
 CSV_SCHEMA_VERSION = "aqml-csv-1"
@@ -149,6 +149,11 @@ def _validate(subcommand: str, cfg: dict) -> None:
             raise ValueError("contamination fractions must lie in [0, 1/2)")
         if any(a * cfg["lipschitz"] > 1.0 for a in cfg["alphas"]):
             raise ValueError("alpha * lipschitz must be <= 1 for every alpha")
+        side = embedding.robust_pca_dim(cfg["n_vectors"], cfg["dim"])
+        if side > linalg.DIM_CAP:
+            raise ValueError(
+                f"robust PCA matrix side {side} exceeds the cap {linalg.DIM_CAP}"
+            )
     elif subcommand == "boost":
         if any(not (0.0 <= a < 1.0) for a in cfg["alphas"]):
             raise ValueError("attack fractions must lie in [0, 1)")
@@ -175,18 +180,22 @@ def run_qpca(cfg: dict, seed: int, out_dir: str) -> int:
         raw_vecs = rng.uniform(-1, 1, (cfg["n_vectors"], cfg["dim"]))
         raw_vecs *= 0.9 * cfg["norm_bound"] / np.max(np.linalg.norm(raw_vecs, axis=1))
         raw = embedding.RawDataset(raw_vecs, norm_bound=cfg["norm_bound"])
+        # the clean matrix and its QPE distribution do not depend on alpha
+        M, null_dim = embedding.robust_pca_core(raw)
+        x = np.zeros(M.shape[0])
+        x[0] = 1.0
+        spectrum = qpca.qpca_spectrum(
+            M, x, bits=cfg["sample_bits"], null_dim=null_dim
+        )
         for alpha in cfg["alphas"]:
             spec = embedding.ContaminationSpec(
                 alpha=alpha, strategy="spike-direction",
                 spike_direction=np.eye(cfg["dim"])[0], seed=s,
             )
             rep = qpca.poisoning_experiment(raw, spec, L=cfg["lipschitz"])
-            M = qpca.build_matrix(raw)
-            x = np.zeros(M.shape[0])
-            x[0] = 1.0
-            samp = qpca.qpca_sample(
-                M, x, bits=cfg["sample_bits"], shots=cfg["sample_shots"],
-                rng=stream(seed, "qpca-sample", str(s), str(alpha)),
+            samp = qpca.qpca_draw(
+                spectrum, cfg["sample_shots"],
+                stream(seed, "qpca-sample", str(s), str(alpha)),
             )
             if not rep["ok"]:
                 status = 1

@@ -134,6 +134,33 @@ def robust_pca_matrix(data, mode: str = "exact") -> np.ndarray:
     return (M + M.T) / 2.0
 
 
+def robust_pca_dim(count: int, dim: int) -> int:
+    """Side of the matrix robust_pca_core returns for `count` vectors in
+    dimension `dim`: the feature block N for N_v >= 3, otherwise the whole
+    embedded dimension N(2 N_v + 1)."""
+    return dim if count >= 3 else dim * (2 * count + 1)
+
+
+def robust_pca_core(raw: RawDataset) -> tuple[np.ndarray, int]:
+    """robust_pca_matrix(embed(raw)) as its nonzero block plus the number of
+    dimensions left out, on which the full matrix is 0.
+
+    An embedded tag column (f, t >= 1) is nonzero in at most one row, so with
+    N_v >= 3 rows its median, and every median product taken with it, is 0.
+    The full matrix then vanishes outside the (feature, tag 0) block, whose
+    inner products are x_j / R: the block is robust_pca_matrix(x / R).  With
+    R = 0 the embedding puts no weight on tag 0 and the block is 0.  Fewer
+    than 3 vectors give the full matrix and no null dimension.
+    """
+    side = robust_pca_dim(raw.count, raw.dim)
+    full = raw.dim * (2 * raw.count + 1)
+    if side == full:
+        return robust_pca_matrix(embed(raw)), 0
+    if raw.norm_bound == 0:
+        return np.zeros((side, side)), full - side
+    return robust_pca_matrix(raw.vectors / raw.norm_bound), full - side
+
+
 def classical_pca_matrix(data, mode: str = "exact") -> np.ndarray:
     """Mean version of the same construction: the biased covariance matrix."""
     ips = _inner_products(data, mode)

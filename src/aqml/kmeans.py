@@ -29,8 +29,8 @@ class ProtocolConfig:
     privacy_delta: float | None = None  # stop when P_opt - 1/2 would exceed this
 
     def __post_init__(self):
-        if self.k < 1 or self.n_participants < 1 or self.d < 0:
-            raise ValueError("k >= 1, N >= 1, d >= 0 required")
+        if self.k < 1 or self.n_participants < 1 or self.d < 1:
+            raise ValueError("k >= 1, N >= 1, d >= 1 required")
         if not (0.0 < self.epsilon < 1.0):
             raise ValueError("readout precision must lie in (0, 1)")
         if self.rounds < 0:

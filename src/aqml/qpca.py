@@ -99,15 +99,23 @@ def build_matrix(
 ) -> np.ndarray:
     """Median-deviation PCA matrix, either computed classically or with
     every entry drawn from the binary-search matrix-element oracle and the
-    result symmetrized."""
-    if isinstance(data, embedding.RawDataset):
-        data = embedding.embed(data)
+    result symmetrized.
+
+    The exact mode on a RawDataset returns embedding.robust_pca_core's
+    block (N x N for N_v >= 3), not the zero-padded embedded matrix.  The
+    quantum mode draws every one of the D^2 embedded entries: the oracle's
+    per-entry noise on the zero block is part of the simulated algorithm.
+    """
     if mode == "exact-median":
+        if isinstance(data, embedding.RawDataset):
+            return embedding.robust_pca_core(data)[0]
         return embedding.robust_pca_matrix(data)
     if mode != "quantum-median":
         raise ValueError(f"unknown build mode {mode!r}")
     if rng is None:
         raise ValueError("quantum-median mode needs an rng")
+    if isinstance(data, embedding.RawDataset):
+        data = embedding.embed(data)
     dim = data.vectors.shape[1]
     M = np.zeros((dim, dim))
     for k in range(dim):
@@ -118,27 +126,54 @@ def build_matrix(
     return (M + M.T) / 2
 
 
-def qpca_sample(
+@dataclass(frozen=True)
+class QpeSpectrum:
+    """Everything qpca_sample knows before it draws shots: the QPE outcome
+    distribution of the input state, the eigenvalue bin each outcome reads
+    as, and the exact overlap mass of each bin."""
+
+    bins: np.ndarray  # distinct exact eigenvalues (12 digits), ascending
+    overlaps: np.ndarray  # |<x|E_n>|^2 summed per bin
+    distribution: np.ndarray  # probability of QPE outcome y in [0, 2^bits)
+    outcome_bins: np.ndarray  # bin of the eigenvalue outcome y reads as
+    scale: float
+    unresolved: bool
+    norm_shift: float
+    queries: QueryCounter  # charges of the simulated evolution
+
+
+def _nearest(bins: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Index of the bin nearest each value, the first one on a tie, in
+    chunks of about 2^20 distances."""
+    chunk = max(1, 2**20 // len(bins))
+    return np.concatenate([
+        np.argmin(np.abs(bins[None, :] - values[i:i + chunk, None]), axis=1)
+        for i in range(0, len(values), chunk)
+    ])
+
+
+def qpca_spectrum(
     M,
     x: np.ndarray,
     bits: int = 8,
-    shots: int = 10**4,
     sim_mode: str = "exact-exp",
     rng: np.random.Generator | None = None,
     lcu_cfg: lcu.TaylorConfig | None = None,
-) -> QpcaReport:
-    """Phase-estimate e^{-iM} on x and bin the sampled eigenvalues.
+    null_dim: int = 0,
+) -> QpeSpectrum:
+    """The part of qpca_sample that draws no shots.
 
-    M is rescaled by 1/(2 max_norm d_eff) before exponentiation to keep
-    eigenphases inside (-pi, pi); reported eigenvalues are unscaled.
-    Lambda_measured is the worst deviation between sampled mass and the
-    exact overlap |<x|E_n>|^2 over eigenvalues.
+    `null_dim` more dimensions, on which the sampled matrix is 0 and x has
+    no weight (embedding.robust_pca_core's null dimension), join the
+    spectrum as eigenvalue 0 with overlap 0.  Only the lcu-noisy mode reads
+    rng, because its simulated evolution is itself random.
     """
     M = linalg.check_hermitian(M)
     x = np.asarray(x, dtype=np.complex128)
     if abs(np.linalg.norm(x) - 1.0) > 1e-9:
         raise ValueError("input state must be unit norm")
-    rng = rng if rng is not None else np.random.default_rng(0)
+    if null_dim < 0:
+        raise ValueError("null dimension must be nonnegative")
     counter = QueryCounter()
 
     max_norm = float(np.max(np.abs(M)))
@@ -149,13 +184,17 @@ def qpca_sample(
         raise ValueError("rescaled matrix norm still >= pi; eigenphases would wrap")
 
     dec = linalg.eig_hermitian(M)
-    exact_vals = dec.eigenvalues
-    overlaps = np.abs(dec.eigenvectors.conj().T @ x) ** 2
+    exact_vals = np.concatenate([dec.eigenvalues, np.zeros(null_dim)])
+    overlaps = np.concatenate(
+        [np.abs(dec.eigenvectors.conj().T @ x) ** 2, np.zeros(null_dim)]
+    )
 
     norm_shift = 0.0
     if sim_mode == "exact-exp":
         U = np.array(linalg.operator_exp(Ms, 1.0))
     elif sim_mode == "lcu-noisy":
+        if rng is None:
+            raise ValueError("lcu-noisy mode needs an rng")
         cfg = lcu_cfg if lcu_cfg is not None else lcu.TaylorConfig()
         rep = lcu.simulate_noisy(lcu.SparseHermitian(Ms), cfg, rng)
         counter.merge(rep.queries)
@@ -164,11 +203,9 @@ def qpca_sample(
         norm_shift = rep.deviation_spectral / scale
     else:
         raise ValueError(f"unknown sim_mode {sim_mode!r}")
+    dist = statevec.phase_estimate_distribution(U, x, bits)
 
-    qpe = statevec.phase_estimate(U, x, bits=bits, shots=shots, rng=rng)
-    counter.charge("qpe_shots", shots)
-
-    # bin each sampled phase to the nearest exact eigenvalue; require bands
+    # bin each phase to the nearest exact eigenvalue; require bands
     # separated by at least two phase-grid cells to call the run resolved
     unresolved = False
     distinct = np.unique(np.round(exact_vals, 12))
@@ -176,28 +213,65 @@ def qpca_sample(
         min_gap_phase = np.min(np.diff(np.sort(distinct))) * scale
         if min_gap_phase < 2 * (2.0 ** (-bits)) * 2 * math.pi:
             unresolved = True
-
-    hist = {float(v): 0.0 for v in distinct}
-    total = sum(n for _, n in qpe.samples)
-    for phase, n in qpe.samples:
-        est = statevec.phase_to_eigenvalue(phase, scale)
-        nearest = float(distinct[np.argmin(np.abs(distinct - est))])
-        hist[nearest] += n / total
-
-    over = {float(v): 0.0 for v in distinct}
-    for val, p in zip(exact_vals, overlaps):
-        over[float(distinct[np.argmin(np.abs(distinct - val))])] += float(p)
-
-    lam_meas = max(abs(hist[v] - over[v]) for v in hist)
-    return QpcaReport(
-        histogram=hist,
-        overlaps=over,
-        lambda_measured=lam_meas,
-        queries=counter,
-        norm_shift=norm_shift,
-        unresolved=unresolved,
-        scale=scale,
+    estimates = np.array(
+        [statevec.phase_to_eigenvalue(y / 2**bits, scale) for y in range(len(dist))]
     )
+    return QpeSpectrum(
+        bins=distinct,
+        overlaps=np.bincount(_nearest(distinct, exact_vals), weights=overlaps,
+                             minlength=len(distinct)),
+        distribution=dist,
+        outcome_bins=_nearest(distinct, estimates),
+        scale=scale,
+        unresolved=unresolved,
+        norm_shift=norm_shift,
+        queries=counter,
+    )
+
+
+def qpca_draw(
+    spectrum: QpeSpectrum, shots: int, rng: np.random.Generator
+) -> QpcaReport:
+    """Draw `shots` QPE outcomes from the spectrum and bin them.
+    Lambda_measured is the worst deviation between sampled mass and the
+    exact overlap over the bins."""
+    counts = rng.multinomial(shots, spectrum.distribution)
+    hist = np.bincount(spectrum.outcome_bins, weights=counts / counts.sum(),
+                       minlength=len(spectrum.bins))
+    counter = QueryCounter()
+    counter.merge(spectrum.queries)
+    counter.charge("qpe_shots", shots)
+    keys = spectrum.bins.tolist()
+    return QpcaReport(
+        histogram=dict(zip(keys, hist.tolist())),
+        overlaps=dict(zip(keys, spectrum.overlaps.tolist())),
+        lambda_measured=float(np.max(np.abs(hist - spectrum.overlaps))),
+        queries=counter,
+        norm_shift=spectrum.norm_shift,
+        unresolved=spectrum.unresolved,
+        scale=spectrum.scale,
+    )
+
+
+def qpca_sample(
+    M,
+    x: np.ndarray,
+    bits: int = 8,
+    shots: int = 10**4,
+    sim_mode: str = "exact-exp",
+    rng: np.random.Generator | None = None,
+    lcu_cfg: lcu.TaylorConfig | None = None,
+    null_dim: int = 0,
+) -> QpcaReport:
+    """Phase-estimate e^{-iM} on x and bin the sampled eigenvalues:
+    qpca_spectrum, then qpca_draw from the same rng.
+
+    M is rescaled by 1/(2 max_norm d_eff) before exponentiation to keep
+    eigenphases inside (-pi, pi); reported eigenvalues are unscaled.
+    """
+    rng = rng if rng is not None else np.random.default_rng(0)
+    spectrum = qpca_spectrum(M, x, bits, sim_mode, rng, lcu_cfg, null_dim)
+    return qpca_draw(spectrum, shots, rng)
 
 
 def poisoning_experiment(
@@ -214,10 +288,10 @@ def poisoning_experiment(
     if spec.alpha * L > 1.0:
         raise ValueError("alpha * L must be <= 1 for the stability regime")
     poisoned_raw = embedding.poison(data, spec)
-    clean = embedding.embed(data)
-    poisoned = embedding.embed(poisoned_raw)
-    M = embedding.robust_pca_matrix(clean)
-    Mp = embedding.robust_pca_matrix(poisoned)
+    # both matrices vanish on the same null dimensions, so d and the norm
+    # of M - Mp are those of the embedded matrices
+    M, _ = embedding.robust_pca_core(data)
+    Mp, _ = embedding.robust_pca_core(poisoned_raw)
     d = int(np.max(np.sum(np.abs(M) > 1e-12, axis=1)))
     norm = linalg.norm(M - Mp, "spectral")
     bound = 5.0 * spec.alpha * L * (d + 2)

@@ -8,7 +8,7 @@ in state 1 and qubit 1 in state 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -215,13 +215,6 @@ def amplitude_estimate_circuit(success_prob: float, bits: int) -> np.ndarray:
     return result
 
 
-@dataclass
-class PhaseEstimateResult:
-    samples: list  # (phase in [0,1), multiplicity) pairs
-    bits: int
-    distribution: np.ndarray = field(repr=False, default=None)
-
-
 def phase_estimate_distribution(U, psi, bits: int) -> np.ndarray:
     """Exact outcome distribution of textbook QPE by state-vector simulation.
 
@@ -255,24 +248,6 @@ def phase_estimate_distribution(U, psi, bits: int) -> np.ndarray:
     joint = np.fft.fft(joint, axis=0) / math.sqrt(n_ctrl)
     dist = np.sum(np.abs(joint) ** 2, axis=1)
     return dist / np.sum(dist)
-
-
-def phase_estimate(
-    U,
-    psi: QuantumRegister | np.ndarray,
-    bits: int,
-    shots: int,
-    rng: np.random.Generator | None = None,
-) -> PhaseEstimateResult:
-    """Sample `shots` QPE outcomes; each phase is a multiple of 2^-bits."""
-    if isinstance(psi, QuantumRegister):
-        psi = psi.state
-    dist = phase_estimate_distribution(U, psi, bits)
-    if rng is None:
-        rng = np.random.default_rng(0)
-    counts = rng.multinomial(shots, dist)
-    samples = [(y / 2**bits, int(c)) for y, c in enumerate(counts) if c > 0]
-    return PhaseEstimateResult(samples=samples, bits=bits, distribution=dist)
 
 
 def phase_to_eigenvalue(phase: float, scale: float = 1.0) -> float:

@@ -82,6 +82,27 @@ def test_malformed_config_exits_2(tmp_path, capsys, sub, payload):
     assert not os.path.exists(tmp_path / "out")
 
 
+@pytest.mark.parametrize("payload", [{"dim": 4097, "n_vectors": 3},
+                                     {"n_vectors": 2, "dim": 820}])
+def test_qpca_matrix_over_dim_cap_exits_2(tmp_path, capsys, payload):
+    # N x N for N_v >= 3 (4097), N(2 N_v + 1) square below (820 * 5 = 4100)
+    cfg = write_cfg(tmp_path, "big.json", payload)
+    rc = cli.main(["qpca", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
+
+
+@pytest.mark.parametrize("payload", [{"n_vectors": 10000, "seeds": 1},
+                                     {"norm_bound": 0.0, "seeds": 1}])
+def test_qpca_exact_core_edge_configs_run(tmp_path, capsys, payload):
+    # far past the embedded dimension cap, and R = 0 (an all-zero core)
+    cfg = write_cfg(tmp_path, "q.json", payload)
+    assert cli.main(["qpca", "--config", cfg, "--out", str(tmp_path)]) == 0
+    lines = read_artifact(str(tmp_path), "qpca.csv").decode().splitlines()
+    assert len(lines) == 2 + 3
+
+
 def test_verify_subcommand_passes(tmp_path, capsys):
     rc = cli.main(["verify", "--seed", "3", "--out", str(tmp_path)])
     assert rc == 0

@@ -54,11 +54,22 @@ def test_rotation_budget_example():
 
 
 def test_rotation_budget_zero_dim_and_halving():
-    cfg0 = kmeans.ProtocolConfig(k=2, d=0, n_participants=100, epsilon=0.1)
-    assert kmeans.rotation_budget(cfg0, min_p=0.5, c1=1.0, c2=1.0).q2 == 0
+    with pytest.raises(ValueError, match="d >= 1"):
+        kmeans.ProtocolConfig(k=2, d=0, n_participants=100, epsilon=0.1)
     cfg = kmeans.ProtocolConfig(k=2, d=2, n_participants=1000, epsilon=0.2)
     half = kmeans.rotation_budget(cfg, min_p=0.5, c1=1.0, c2=1.0)
     assert half.q1 == 5 and half.q2 == 20  # doubling epsilon halves both
+
+
+@pytest.mark.parametrize("d", [0, -1])
+def test_protocol_config_rejects_nonpositive_dim(d):
+    # d = 0 used to pass here and crash run_protocol on an empty np.max
+    with pytest.raises(ValueError, match="d >= 1"):
+        kmeans.ProtocolConfig(k=2, d=d, n_participants=4, epsilon=0.1)
+    cfg = kmeans.ProtocolConfig(k=2, d=1, n_participants=4, epsilon=0.1)
+    res = kmeans.run_protocol(kmeans.Participants(np.zeros((4, 1))), cfg,
+                              np.array([[0.5], [-0.5]]), stream(0, "km", "d1"))
+    assert len(res.trajectory) == 2
 
 
 def test_rotation_budget_rejects_small_min_p():

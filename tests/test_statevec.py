@@ -133,13 +133,13 @@ def test_amplitude_estimate_circuit_contract():
 
 def test_phase_estimate_representable_phase():
     U = np.diag([1.0, np.exp(2j * math.pi * 0.25)])
-    res = statevec.phase_estimate(U, np.array([0.0, 1.0]), bits=2, shots=100)
-    assert res.samples == [(0.25, 100)]
+    dist = statevec.phase_estimate_distribution(U, np.array([0.0, 1.0]), bits=2)
+    assert dist[1] == pytest.approx(1.0, abs=1e-12)  # phase 1/4 = y / 2^2
 
 
 def test_phase_estimate_identity():
-    res = statevec.phase_estimate(np.eye(4), np.ones(4) / 2.0, bits=3, shots=64)
-    assert res.samples == [(0.0, 64)]
+    dist = statevec.phase_estimate_distribution(np.eye(4), np.ones(4) / 2.0, bits=3)
+    assert dist[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_phase_estimate_fejer_distribution():
