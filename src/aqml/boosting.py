@@ -12,6 +12,9 @@ import numpy as np
 
 from . import linalg, statevec
 
+# fresh draws allowed per bootstrap resample that comes out single-class
+MAX_REDRAWS = 10
+
 
 @dataclass(frozen=True)
 class WeakClassifier:
@@ -74,7 +77,6 @@ def train_bootstrap_ensemble(
     labels: np.ndarray,
     count: int,
     rng: np.random.Generator,
-    max_redraws: int = 10,
 ) -> EnsembleSpec:
     """Bootstrap-resample the labeled data `count` times and fit one
     mean-difference hyperplane (normal mu+ - mu-, midpoint offset folded
@@ -89,7 +91,7 @@ def train_bootstrap_ensemble(
     classifiers = []
     resamples = []
     for _ in range(count):
-        for attempt in range(max_redraws + 1):
+        for attempt in range(MAX_REDRAWS + 1):
             idx = rng.integers(0, n, size=n)
             ys = y[idx]
             if len(np.unique(ys)) == 2:
@@ -265,13 +267,14 @@ def attack_ensemble(spec: EnsembleSpec, attack: AttackSpec) -> AttackReport:
     )
 
 
-def mean_attack_construction(n_classifiers: int, dim: int = 4) -> dict:
+def mean_attack_construction(n_classifiers: int) -> dict:
     """The constructive fragility instance: N classifiers whose
     expectations on psi are small (|<psi|C_j|psi>| <= 1/(2N)) so one flipped
     classifier with expectation -1 forces sign(<psi|C|psi>) negative."""
     if n_classifiers < 2:
         raise ValueError("need at least two classifiers")
     N = n_classifiers
+    dim = 4  # ambient dimension of the instance
     psi = np.zeros(dim)
     psi[0] = 1.0
     # expectation of the reflection 2 w w^T - I on e1 is 2 w1^2 - 1; choose

@@ -201,11 +201,12 @@ def run_qpca(cfg: dict, seed: int, out_dir: str) -> int:
                 status = 1
             rows.append(
                 [s, alpha, cfg["lipschitz"], rep["d"], rep["norm"], rep["bound"],
-                 samp.lambda_measured, samp.queries.total]
+                 samp.lambda_measured, samp.queries.total, int(samp.unresolved)]
             )
     _write_csv(
         os.path.join(out_dir, "qpca.csv"),
-        ["seed", "alpha", "L", "d", "norm", "bound", "lambda_measured", "queries"],
+        ["seed", "alpha", "L", "d", "norm", "bound", "lambda_measured", "queries",
+         "unresolved"],
         rows,
     )
     return status

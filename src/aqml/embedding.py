@@ -161,9 +161,10 @@ def robust_pca_core(raw: RawDataset) -> tuple[np.ndarray, int]:
     return robust_pca_matrix(raw.vectors / raw.norm_bound), full - side
 
 
-def classical_pca_matrix(data, mode: str = "exact") -> np.ndarray:
-    """Mean version of the same construction: the biased covariance matrix."""
-    ips = _inner_products(data, mode)
+def classical_pca_matrix(data) -> np.ndarray:
+    """Mean version of the same construction, on exact inner products: the
+    biased covariance matrix."""
+    ips = _inner_products(data, "exact")
     dev = ips - np.mean(ips, axis=0, keepdims=True)
     return dev.T @ dev / ips.shape[0]
 
@@ -219,7 +220,12 @@ def poison(data: RawDataset, spec: ContaminationSpec) -> RawDataset:
 @dataclass(frozen=True)
 class DistributionSpec:
     """Distribution given by its inverse CDF Q: [0,1] -> [-1,1] with a
-    Lipschitz constant L."""
+    Lipschitz constant L.
+
+    `inverse_cdf` maps an array of u to the array of Q(u), elementwise (a
+    numpy expression in u); it is also called on a single float.  The
+    Lipschitz bound is checked on a 1001-point grid at construction.
+    """
 
     inverse_cdf: callable
     lipschitz: float
@@ -229,13 +235,12 @@ class DistributionSpec:
         if self.lipschitz <= 0:
             raise ValueError("Lipschitz constant must be positive")
         grid = np.linspace(0.0, 1.0, 1001)
-        vals = np.array([self.inverse_cdf(u) for u in grid])
-        steps = np.abs(np.diff(vals))
+        steps = np.abs(np.diff(self.inverse_cdf(grid)))
         if np.any(steps > self.lipschitz * (grid[1] - grid[0]) + 1e-9):
             raise ValueError("inverse CDF violates the declared Lipschitz bound")
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return np.array([self.inverse_cdf(u) for u in rng.random(size)])
+        return self.inverse_cdf(rng.random(size))
 
     def median(self) -> float:
         return float(self.inverse_cdf(0.5))
@@ -246,7 +251,7 @@ def uniform_dist() -> DistributionSpec:
 
 
 def sine_dist() -> DistributionSpec:
-    return DistributionSpec(lambda u: math.sin(math.pi * (u - 0.5)), math.pi, "sine")
+    return DistributionSpec(lambda u: np.sin(math.pi * (u - 0.5)), math.pi, "sine")
 
 
 def cubic_dist() -> DistributionSpec:
@@ -277,7 +282,7 @@ def median_stability_check(
     shifts = []
     for _ in range(trials):
         u = rng.random(n_samples)
-        clean = np.array([dist.inverse_cdf(x) for x in u])
+        clean = dist.inverse_cdf(u)
         n_poison = int(math.floor(alpha * n_samples))
         poisoned = clean.copy()
         if n_poison:

@@ -16,6 +16,8 @@ import numpy as np
 
 from . import linalg
 
+AE_CONSTANT = 8.0  # sum |t_q| <= c / epsilon for the readout ladder
+
 
 @dataclass(frozen=True)
 class ProtocolConfig:
@@ -24,7 +26,6 @@ class ProtocolConfig:
     n_participants: int
     epsilon: float
     rounds: int = 1
-    ae_constant: float = 8.0  # sum |t_q| <= c / epsilon for the readout ladder
     convergence_tol: float | None = None
     privacy_delta: float | None = None  # stop when P_opt - 1/2 would exceed this
 
@@ -127,24 +128,22 @@ def _phase_readout(
     epsilon: float,
     rng: np.random.Generator,
     lo: float = 0.0,
-    hi: float = 1.0,
 ) -> float:
     """Phase-estimation readout model: the estimate lands within epsilon of
-    the true value, uniformly distributed inside the window."""
+    the true value, uniformly distributed inside the window, clipped to
+    [lo, 1]."""
     est = true_value + rng.uniform(-epsilon, epsilon)
-    return min(max(est, lo), hi)
+    return min(max(est, lo), 1.0)
 
 
 def rotation_budget(
-    cfg: ProtocolConfig, min_p: float, c1: float | None = None, c2: float | None = None
+    cfg: ProtocolConfig, min_p: float, c1: float = AE_CONSTANT, c2: float = AE_CONSTANT
 ) -> RotationBudget:
     """Per-participant rotation counts for the two readout phases:
     q1 = c1 R / eps for the k membership probabilities and
     q2 = c2 R d / (min_p eps) for the centroid components."""
     if min_p <= cfg.epsilon:
         raise ValueError("minimum cluster probability must exceed epsilon")
-    c1 = cfg.ae_constant if c1 is None else c1
-    c2 = cfg.ae_constant if c2 is None else c2
     q1 = int(math.ceil(c1 * cfg.rounds / cfg.epsilon))
     q2 = int(math.ceil(c2 * cfg.rounds * cfg.d / (min_p * cfg.epsilon)))
     return RotationBudget(q1=q1, q2=q2)
@@ -166,12 +165,11 @@ def assign_clusters(
     return assign
 
 
-def classical_iteration(
-    vectors: np.ndarray, centroids: np.ndarray, rng: np.random.Generator | None = None
-):
-    """One exact Lloyd step: assign to nearest centroid, recompute means.
-    Empty clusters keep their previous centroid."""
-    assign = assign_clusters(vectors, centroids, rng)
+def classical_iteration(vectors: np.ndarray, centroids: np.ndarray):
+    """One exact Lloyd step: assign to nearest centroid (the first one on an
+    exact tie), recompute means.  Empty clusters keep their previous
+    centroid."""
+    assign = assign_clusters(vectors, centroids)
     new = centroids.copy()
     probs = np.zeros(len(centroids))
     for p in range(len(centroids)):

@@ -13,6 +13,9 @@ import numpy as np
 from . import linalg
 from .util import QueryCounter
 
+# entries at or below this magnitude count as structural zeros
+SPARSITY_THRESHOLD = 1e-12
+
 
 @dataclass(frozen=True)
 class SparseHermitian:
@@ -20,7 +23,6 @@ class SparseHermitian:
     metadata."""
 
     matrix: np.ndarray
-    threshold: float = 1e-12
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", linalg.check_hermitian(self.matrix))
@@ -32,7 +34,7 @@ class SparseHermitian:
     @property
     def sparsity(self) -> int:
         """Max nonzeros in any row."""
-        return int(np.max(np.sum(np.abs(self.matrix) > self.threshold, axis=1)))
+        return int(np.max(np.sum(np.abs(self.matrix) > SPARSITY_THRESHOLD, axis=1)))
 
     @property
     def max_norm(self) -> float:
@@ -67,14 +69,14 @@ def one_sparse_decompose(H: SparseHermitian | np.ndarray) -> OneSparseDecomposit
     dim = H.dim
     terms = []
     diag = np.diag(np.diag(A))
-    if np.any(np.abs(np.diag(A)) > H.threshold):
+    if np.any(np.abs(np.diag(A)) > SPARSITY_THRESHOLD):
         terms.append(diag.astype(np.complex128))
     # greedy edge coloring of the off-diagonal support
     edges = [
         (p, q)
         for p in range(dim)
         for q in range(p + 1, dim)
-        if abs(A[p, q]) > H.threshold
+        if abs(A[p, q]) > SPARSITY_THRESHOLD
     ]
     edge_color = {}
     used_at = [set() for _ in range(dim)]
@@ -95,7 +97,7 @@ def one_sparse_decompose(H: SparseHermitian | np.ndarray) -> OneSparseDecomposit
     dec = OneSparseDecomposition(terms=terms)
     # one-sparse guarantee: every term has at most one nonzero per row
     for term in dec.terms:
-        if np.max(np.sum(np.abs(term) > H.threshold, axis=1)) > 1:
+        if np.max(np.sum(np.abs(term) > SPARSITY_THRESHOLD, axis=1)) > 1:
             raise AssertionError("edge coloring produced a non-matching layer")
     return dec
 
@@ -153,7 +155,6 @@ class TaylorConfig:
     """Parameters of the segmented truncated-Taylor simulation."""
 
     order: int = 12  # truncation order K per segment
-    segments: int | None = None  # r; derived from the norm budget if None
     m_disc: int = 10**4  # sign-discretization count M
     eta: float = 0.0  # per-entry oracle error bound
     delta: float = 0.0  # per-entry oracle failure probability
@@ -164,8 +165,6 @@ class TaylorConfig:
     def __post_init__(self):
         if self.order < 1 or self.m_disc < 1:
             raise ValueError("order and m_disc must be >= 1")
-        if self.segments is not None and self.segments < 1:
-            raise ValueError("segments must be >= 1")
         if not (0.0 <= self.delta < 1.0 and self.eta >= 0.0):
             raise ValueError("invalid oracle noise parameters")
         if self.delta > 0.0 and self.delta > DELTA_MDISC_CONSTANT / self.m_disc:
@@ -173,8 +172,7 @@ class TaylorConfig:
 
 
 def segment_count(H: SparseHermitian, cfg: TaylorConfig, n_layers: int) -> int:
-    if cfg.segments is not None:
-        return cfg.segments
+    """Segments r that keep each segment's norm budget within ln 2."""
     budget = abs(cfg.time) * H.max_norm * max(1, n_layers)
     return max(1, int(math.ceil(budget / math.log(2.0))))
 
@@ -264,7 +262,7 @@ def simulate_noisy(
     dim = H.dim
 
     # sparse entry bookkeeping: positions of upper-triangle + diagonal support
-    rows, cols = np.nonzero(np.abs(np.triu(H.matrix)) > H.threshold)
+    rows, cols = np.nonzero(np.abs(np.triu(H.matrix)) > SPARSITY_THRESHOLD)
     base_vals = np.real(H.matrix[rows, cols])
     if np.max(np.abs(np.imag(H.matrix[rows, cols]))) > 1e-12:
         raise ValueError("noisy simulation path assumes real symmetric input")
@@ -284,8 +282,7 @@ def simulate_noisy(
     for s in range(r):
         Ms = np.zeros((T, dim, dim), dtype=np.complex128)
         Ms[:, rows, cols] = quant[:, s, :]
-        upper = np.triu(Ms, 1)
-        Ms = Ms + np.transpose(upper, (0, 2, 1))
+        Ms[:, cols, rows] = quant[:, s, :]
         A = (-1j * t_seg) * Ms
         S = np.tile(eye, (T, 1, 1))
         power = np.tile(eye, (T, 1, 1))

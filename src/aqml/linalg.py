@@ -67,10 +67,11 @@ def _fix_phases(V: np.ndarray) -> np.ndarray:
     return V
 
 
-def eig_hermitian(H, tol: float = HERMITIAN_TOL) -> EigenDecomposition:
+def eig_hermitian(H) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix, ascending eigenvalues,
-    deterministic eigenvector phases. Rejects non-Hermitian input."""
-    H = check_hermitian(H, tol)
+    deterministic eigenvector phases. Rejects input that is not Hermitian
+    within HERMITIAN_TOL."""
+    H = check_hermitian(H)
     vals, vecs = np.linalg.eigh(H)
     return EigenDecomposition(eigenvalues=vals, eigenvectors=_fix_phases(vecs))
 

@@ -3,9 +3,9 @@ gamma-approximate matrix-element oracle composed from it.
 
 The "coherent" part of the construction is modeled by the success/failure
 contract of `statevec.amplitude_estimate`: each probability readout is within
-epsilon0 of the truth except with probability delta0, and failures may carry
-arbitrary content.  Search endpoints are tracked as exact dyadic rationals so
-interval midpoints stay exact.
+epsilon0 of the truth except with probability delta0, when it is the end
+point of [0, 1] farthest from the truth.  Search endpoints are tracked as
+exact dyadic rationals so interval midpoints stay exact.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import embedding, statevec
+from . import statevec
 from .util import QueryCounter
 
 
@@ -38,7 +38,12 @@ class MedianSearchConfig:
     """Precision budget for one binary-search median estimation.
 
     All tolerances are expressed in the normalized [0, 1] search domain; the
-    value domain [lo, hi] is mapped onto it affinely.
+    value domain [lo, hi] is mapped onto it affinely.  Each CDF readout goes
+    through `statevec.amplitude_estimate` at precision epsilon0 =
+    epsilon_prime / lipschitz and failure probability delta0; a failed
+    readout is adversarial (the far end of [0, 1]), and its query charge
+    uses `statevec.AE_COST_CONSTANT`.  p_max defaults to the iteration
+    budget and may not be set below it.
     """
 
     epsilon: float
@@ -46,8 +51,6 @@ class MedianSearchConfig:
     delta0: float = 0.0
     lipschitz: float = 2.0
     p_max: int | None = None
-    failure_mode: str = "worst-case"
-    ae_constant: float = statevec.AE_COST_CONSTANT
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 0.25:
@@ -150,7 +153,7 @@ def noisy_cdf_oracle(
     # each amplitude-estimation invocation applies the comparator circuit,
     # which itself queries the data oracle O(1/epsilon') times to compute
     # inner products to precision epsilon'
-    ae_charge = statevec.ae_query_charge(cfg.epsilon0, cfg.delta0, cfg.ae_constant)
+    ae_charge = statevec.ae_query_charge(cfg.epsilon0, cfg.delta0)
     ip_charge = int(math.ceil(1.0 / max(cfg.epsilon_prime, 1e-9)))
 
     def oracle(y: float) -> float:
@@ -161,9 +164,7 @@ def noisy_cdf_oracle(
             epsilon0=cfg.epsilon0,
             delta0=cfg.delta0,
             rng=rng,
-            failure_mode=cfg.failure_mode,
             counter=counter,
-            c=cfg.ae_constant,
         )
 
     return oracle
@@ -184,29 +185,30 @@ def quantum_median(
 
 
 def matrix_element_oracle(
-    data,
+    vectors: np.ndarray,
     k: int,
     l: int,
     gamma: float,
     delta: float,
     rng: np.random.Generator,
-    lipschitz: float = 2.0,
-    mode: str = "exact",
     counter: QueryCounter | None = None,
 ) -> float:
     """One gamma-approximate draw of the median-covariance entry (k, l).
 
-    Composes three binary-search medians (column k, column l, deviation
-    products) over inner products supplied exactly or through the
-    Hadamard-test circuit.  The emitted value is within gamma of the exact
-    entry with probability >= 1 - delta, up to the discreteness of the
+    `vectors` is the (count, D) array of row vectors x_j; the inner
+    products e_k^T x_j are its columns, read exactly.  Composes three
+    binary-search medians (column k, column l, deviation products), each
+    with CDF Lipschitz constant 2.  The emitted value is within gamma of the
+    exact entry with probability >= 1 - delta, up to the discreteness of the
     empirical distribution (the analysis assumes a Lipschitz inverse CDF).
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
     if counter is None:
         counter = QueryCounter()
-    ips = embedding._inner_products(data, mode)
+    ips = np.asarray(vectors, dtype=np.float64)
+    if ips.ndim != 2:
+        raise ValueError("expected a 2-D array of row vectors")
     if not (0 <= k < ips.shape[1] and 0 <= l < ips.shape[1]):
         raise ValueError("index out of range")
     # value-domain budget: column-median errors e feed the products with a
@@ -217,9 +219,10 @@ def matrix_element_oracle(
     eps_col = min(e_col / 2.0, 0.2)
     eps_prod = min(e_prod / 8.0, 0.2)
     delta0 = delta / (3 * max(1, iteration_budget(eps_col, eps_col / 8.0)))
-    sub = dict(delta0=delta0, lipschitz=lipschitz)
-    cfg_col = MedianSearchConfig(epsilon=eps_col, epsilon_prime=eps_col / 8.0, **sub)
-    cfg_prod = MedianSearchConfig(epsilon=eps_prod, epsilon_prime=eps_prod / 8.0, **sub)
+    cfg_col = MedianSearchConfig(epsilon=eps_col, epsilon_prime=eps_col / 8.0,
+                                 delta0=delta0)
+    cfg_prod = MedianSearchConfig(epsilon=eps_prod, epsilon_prime=eps_prod / 8.0,
+                                  delta0=delta0)
 
     med_k = quantum_median(ips[:, k], cfg_col, rng, counter=counter)
     med_l = quantum_median(ips[:, l], cfg_col, rng, counter=counter)

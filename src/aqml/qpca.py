@@ -121,7 +121,7 @@ def build_matrix(
     for k in range(dim):
         for l in range(dim):
             M[k, l] = median_oracle.matrix_element_oracle(
-                data, k, l, gamma=gamma, delta=delta, rng=rng, counter=counter
+                data.vectors, k, l, gamma=gamma, delta=delta, rng=rng, counter=counter
             )
     return (M + M.T) / 2
 
@@ -311,16 +311,20 @@ def poisoning_experiment(
     }
 
 
+# constant of the quadratic remainder allowed in first-order eigenvalue shifts
+CURVATURE_C = 50.0
+
+
 def projector_perturbation_check(
     M,
     M_perturbed,
     split: SubspaceSplit,
     probes: np.ndarray,
-    curvature_c: float = 50.0,
 ) -> dict:
     """Check that every probe's positive-band projector shift obeys
     |<phi|(P+' - P+)|phi>| <= 4 sigma / lam, and that eigenvalue shifts
-    match the first-order inner-product rule up to a quadratic remainder."""
+    match the first-order inner-product rule up to a quadratic remainder
+    CURVATURE_C sigma^2."""
     M = linalg.check_hermitian(M)
     Mp = linalg.check_hermitian(M_perturbed)
     sigma = linalg.norm(Mp - M, "spectral")
@@ -363,7 +367,7 @@ def projector_perturbation_check(
             deriv = float(np.real(v.conj() @ Delta @ v))
             resid = abs(Enp - En - sigma * deriv)
             eig_residual = max(eig_residual, resid)
-            if resid > curvature_c * sigma**2:
+            if resid > CURVATURE_C * sigma**2:
                 eig_ok = False
     weyl_ok = bool(
         np.max(np.abs(dec.eigenvalues - decp.eigenvalues)) <= sigma + 1e-12

@@ -160,8 +160,8 @@ AE_COST_CONSTANT = 8  # constant inside the O(1/(eps0*delta0)) query charge
 _DELTA_FLOOR = 1e-9  # avoids a divide-by-zero charge when delta0 = 0
 
 
-def ae_query_charge(epsilon0: float, delta0: float, c: float = AE_COST_CONSTANT) -> int:
-    return int(math.ceil(c / (epsilon0 * max(delta0, _DELTA_FLOOR))))
+def ae_query_charge(epsilon0: float, delta0: float) -> int:
+    return int(math.ceil(AE_COST_CONSTANT / (epsilon0 * max(delta0, _DELTA_FLOOR))))
 
 
 def amplitude_estimate(
@@ -169,16 +169,15 @@ def amplitude_estimate(
     epsilon0: float,
     delta0: float,
     rng: np.random.Generator,
-    failure_mode: str = "worst-case",
     counter: QueryCounter | None = None,
-    c: float = AE_COST_CONSTANT,
 ) -> float:
     """Contract-level amplitude estimation.
 
-    With probability >= 1 - delta0 the returned value is within epsilon0 of
-    success_prob; otherwise the value is adversarial ('worst-case') or
-    uniform on [0, 1] ('uniform').  Charges ceil(c / (epsilon0 * delta0))
-    oracle queries.
+    With probability >= 1 - delta0 the returned value is uniform within
+    epsilon0 of success_prob, clipped to [0, 1].  Otherwise it is
+    adversarial: the end point of [0, 1] farthest from the truth (0.0 when
+    success_prob > 1/2, else 1.0).  Charges
+    ceil(AE_COST_CONSTANT / (epsilon0 * delta0)) oracle queries.
     """
     if not 0.0 <= success_prob <= 1.0:
         raise ValueError("success_prob must lie in [0, 1]")
@@ -187,11 +186,8 @@ def amplitude_estimate(
     if not 0.0 <= delta0 < 1.0:
         raise ValueError("delta0 must lie in [0, 1)")
     if counter is not None:
-        counter.charge("amplitude_estimation", ae_query_charge(epsilon0, delta0, c))
+        counter.charge("amplitude_estimation", ae_query_charge(epsilon0, delta0))
     if delta0 > 0.0 and rng.random() < delta0:
-        if failure_mode == "uniform":
-            return float(rng.random())
-        # worst case: the point of [0, 1] farthest from the truth
         return 0.0 if success_prob > 0.5 else 1.0
     value = success_prob + epsilon0 * (2.0 * rng.random() - 1.0)
     return float(min(1.0, max(0.0, value)))

@@ -129,7 +129,7 @@ def test_criterion_04_binary_search_median():
 
     # noisy oracle failure accounting at delta0 = 0.01 over 1e4 runs
     ncfg = mo.MedianSearchConfig(epsilon=0.05, epsilon_prime=0.01, delta0=0.01,
-                                 lipschitz=2.0, failure_mode="worst-case")
+                                 lipschitz=2.0)
     tol = 2.0 * (2.0 ** (-ncfg.p_max - 1) + widen * (1.0 - 2.0**-ncfg.p_max))
     vals = np.sort(stream(1, "acc", "c4").uniform(-1, 1, 4001))
     med = float(np.median(vals))

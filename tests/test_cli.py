@@ -103,6 +103,20 @@ def test_qpca_exact_core_edge_configs_run(tmp_path, capsys, payload):
     assert len(lines) == 2 + 3
 
 
+@pytest.mark.parametrize("payload,flag", [({}, "1"), ({"sample_bits": 16}, "0")])
+def test_qpca_unresolved_column(tmp_path, capsys, payload, flag):
+    # at seed 0 the first dataset's core eigenvalues are closer than two
+    # cells of the default 10-bit phase grid, and 16 bits separate them
+    cfg = write_cfg(tmp_path, "q.json", payload)
+    assert cli.main(["qpca", "--config", cfg, "--seed", "0", "--out", str(tmp_path)]) == 0
+    lines = read_artifact(str(tmp_path), "qpca.csv").decode().splitlines()
+    columns = lines[1].split(",")
+    assert columns[-1] == "unresolved"
+    rows = [dict(zip(columns, line.split(","))) for line in lines[2:]]
+    first = [r["unresolved"] for r in rows if r["seed"] == "0"]
+    assert first == [flag] * 3
+
+
 def test_verify_subcommand_passes(tmp_path, capsys):
     rc = cli.main(["verify", "--seed", "3", "--out", str(tmp_path)])
     assert rc == 0

@@ -1,8 +1,6 @@
 """Isometry embedding, median statistics, robust and classical PCA
 matrices, contamination model."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -218,4 +216,4 @@ def test_median_stability_saturates():
 
 def test_distribution_spec_rejects_lipschitz_violation():
     with pytest.raises(ValueError):
-        embedding.DistributionSpec(lambda u: math.tan(3.0 * (u - 0.5)), 1.0)
+        embedding.DistributionSpec(lambda u: np.tan(3.0 * (u - 0.5)), 1.0)

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from aqml import lcu, linalg
 from aqml.util import stream
@@ -80,6 +82,25 @@ def test_sign_average_examples():
     assert lcu.sign_count_average(np.array([0.37]), 1.0, 1000)[0] == (
         pytest.approx(0.37, abs=2.0 / 1000)
     )
+
+
+@given(
+    numerators=st.lists(st.integers(-300, 300), min_size=1, max_size=20),
+    norm_exp=st.integers(-4, 4),
+    m_disc=st.integers(1, 64),
+)
+def test_sign_count_average_matches_explicit_sum(numerators, norm_exp, m_disc):
+    # values j/64 * max_norm with a power-of-two max_norm: every product in
+    # the closed form and in the indicator |v| m_disc < m max_norm is exact
+    max_norm = 2.0**norm_exp
+    values = np.array(numerators, dtype=np.float64) / 64.0 * max_norm
+    got = lcu.sign_count_average(values, max_norm, m_disc)
+    for v, g in zip(values, got):
+        total = sum(
+            (-1) ** (m * int(abs(v) * m_disc < m * max_norm))
+            for m in range(1, m_disc + 1)
+        )
+        assert g == total / m_disc
 
 
 def test_sign_decompose_average_reproduces_term():

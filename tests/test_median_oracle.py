@@ -79,7 +79,6 @@ def test_geometric_error_closed_form():
 def test_noisy_failure_accounting():
     cfg = mo.MedianSearchConfig(
         epsilon=0.05, epsilon_prime=0.01, delta0=0.02, lipschitz=2.0,
-        failure_mode="worst-case",
     )
     widen = cfg.epsilon_prime + cfg.lipschitz * cfg.epsilon0
     tol = 2.0 * (2.0 ** (-cfg.p_max - 1) + widen * (1.0 - 2.0**-cfg.p_max))

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from aqml import statevec
 from aqml.util import QueryCounter, stream
@@ -105,13 +107,26 @@ def test_amplitude_estimate_failure_rate():
     delta0 = 0.1
     fails = 0
     for _ in range(trials):
-        val = statevec.amplitude_estimate(
-            0.3, epsilon0=0.01, delta0=delta0, rng=rng, failure_mode="worst-case"
-        )
+        val = statevec.amplitude_estimate(0.3, epsilon0=0.01, delta0=delta0, rng=rng)
         if abs(val - 0.3) > 0.01:
             fails += 1
     sigma = math.sqrt(delta0 * (1 - delta0) / trials)
     assert fails / trials <= delta0 + 3.0 * sigma
+
+
+class _AlwaysFails:
+    """Generator stand-in whose uniform draw 0.0 selects the failure branch
+    for every delta0 > 0."""
+
+    def random(self):
+        return 0.0
+
+
+@pytest.mark.parametrize("p,far", [(1.0, 0.0), (0.7, 0.0), (0.5 + 1e-12, 0.0),
+                                   (0.5, 1.0), (0.3, 1.0), (0.0, 1.0)])
+def test_amplitude_estimate_failure_returns_far_endpoint(p, far):
+    val = statevec.amplitude_estimate(p, epsilon0=0.01, delta0=0.1, rng=_AlwaysFails())
+    assert val == far
 
 
 def test_amplitude_estimate_query_charge():
@@ -185,6 +200,23 @@ def test_phase_to_eigenvalue_wrap():
     assert statevec.phase_to_eigenvalue(0.25, scale=0.5) == pytest.approx(
         -math.pi, abs=1e-12
     )
+
+
+@given(
+    phase=st.floats(0.0, 1.0, exclude_max=True),
+    scale_exp=st.integers(-10, 10),
+)
+@example(phase=0.5, scale_exp=0)
+@example(phase=0.0, scale_exp=0)
+@example(phase=math.nextafter(0.5, 0.0), scale_exp=0)
+@example(phase=math.nextafter(1.0, 0.0), scale_exp=0)
+def test_phase_to_eigenvalue_lands_in_principal_branch(phase, scale_exp):
+    # a power-of-two scale divides exactly, so the interval test is exact
+    scale = 2.0**scale_exp
+    E = statevec.phase_to_eigenvalue(phase, scale)
+    assert -math.pi / scale < E <= math.pi / scale
+    # e^{-iE scale} is the eigenphase factor e^{2 pi i phase}
+    assert abs(np.exp(-1j * E * scale) - np.exp(2j * math.pi * phase)) <= 1e-12
 
 
 def test_phase_estimate_bits_cap():
