@@ -56,6 +56,31 @@ class OneSparseDecomposition:
         return np.sum(self.terms, axis=0)
 
 
+def _greedy_edge_coloring(A: np.ndarray) -> tuple:
+    """Diagonal flag, upper-triangle support edges (ps[k], qs[k]) in row-major
+    order, and the greedy color of each edge (smallest color free at both
+    endpoints; at most 2d-1 colors for max off-diagonal degree d)."""
+    has_diag = bool(np.any(np.abs(np.diag(A)) > SPARSITY_THRESHOLD))
+    ps, qs = np.nonzero(np.abs(np.triu(A, 1)) > SPARSITY_THRESHOLD)
+    colors = np.empty(len(ps), dtype=np.int64)
+    used_at = [set() for _ in range(A.shape[0])]
+    for k, (p, q) in enumerate(zip(ps.tolist(), qs.tolist())):
+        c = 1
+        while c in used_at[p] or c in used_at[q]:
+            c += 1
+        colors[k] = c
+        used_at[p].add(c)
+        used_at[q].add(c)
+    return has_diag, ps, qs, colors
+
+
+def _layer_count(A: np.ndarray) -> int:
+    """Number of one-sparse layers `one_sparse_decompose(A)` builds, without
+    building them."""
+    has_diag, _, _, colors = _greedy_edge_coloring(A)
+    return int(has_diag) + len(np.unique(colors))
+
+
 def one_sparse_decompose(H: SparseHermitian | np.ndarray) -> OneSparseDecomposition:
     """Split a sparse Hermitian matrix into one-sparse Hermitian layers.
 
@@ -66,33 +91,15 @@ def one_sparse_decompose(H: SparseHermitian | np.ndarray) -> OneSparseDecomposit
     if not isinstance(H, SparseHermitian):
         H = SparseHermitian(np.asarray(H))
     A = H.matrix
-    dim = H.dim
+    has_diag, ps, qs, colors = _greedy_edge_coloring(A)
     terms = []
-    diag = np.diag(np.diag(A))
-    if np.any(np.abs(np.diag(A)) > SPARSITY_THRESHOLD):
-        terms.append(diag.astype(np.complex128))
-    # greedy edge coloring of the off-diagonal support
-    edges = [
-        (p, q)
-        for p in range(dim)
-        for q in range(p + 1, dim)
-        if abs(A[p, q]) > SPARSITY_THRESHOLD
-    ]
-    edge_color = {}
-    used_at = [set() for _ in range(dim)]
-    for p, q in edges:
-        c = 1
-        while c in used_at[p] or c in used_at[q]:
-            c += 1
-        edge_color[(p, q)] = c
-        used_at[p].add(c)
-        used_at[q].add(c)
-    for c in sorted(set(edge_color.values())):
+    if has_diag:
+        terms.append(np.diag(np.diag(A)).astype(np.complex128))
+    for c in np.unique(colors):
+        p, q = ps[colors == c], qs[colors == c]
         term = np.zeros_like(A)
-        for (p, q), cc in edge_color.items():
-            if cc == c:
-                term[p, q] = A[p, q]
-                term[q, p] = A[q, p]
+        term[p, q] = A[p, q]
+        term[q, p] = A[q, p]
         terms.append(term)
     dec = OneSparseDecomposition(terms=terms)
     # one-sparse guarantee: every term has at most one nonzero per row
@@ -198,6 +205,31 @@ def taylor_segment(H, t: float, K: int):
     return S, smin
 
 
+def _real_series(A: np.ndarray, K: int) -> tuple:
+    """Real C and S with sum_{q<=K} (-iA)^q / q! = C - iS for a stack of
+    real matrices A, from the powers of B = A^2:
+    C = sum_j (-1)^j B^j / (2j)! and S = A sum_j (-1)^j B^j / (2j+1)!.
+
+    One `term` array steps through c_1 B, s_1 B, c_2 B^2, s_2 B^2, ... with
+    c_j = (-1)^j / (2j)!, s_j = c_j / (2j+1) and c_{j+1} = -s_j / (2j+2),
+    scaled in place, so each step allocates only its matmul result."""
+    idx = np.arange(A.shape[-1])
+    C = np.zeros_like(A)
+    C[..., idx, idx] = 1.0
+    S = C.copy()
+    B = A @ A
+    term = B * -0.5
+    for j in range(1, K // 2 + 1):
+        if j > 1:
+            term = term @ B
+            term *= -1.0 / (2 * j)
+        C += term
+        if 2 * j + 1 <= K:
+            term /= 2 * j + 1
+            S += term
+    return C, A @ S
+
+
 def taylor_remainder_bound(h_norm: float, t: float, K: int) -> float:
     x = h_norm * abs(t)
     return x ** (K + 1) / math.factorial(K + 1) * math.exp(x)
@@ -250,11 +282,18 @@ def simulate_noisy(
     Returns the Monte Carlo average Q of the segmented truncated-Taylor
     product, the effective Hamiltonian extracted from Q, and the measured
     deviation against the bound scale d (max_norm * delta + eta).
+
+    Each segment matrix A = t_seg M_s is real symmetric, so the truncated
+    series is evaluated in real arithmetic:
+    sum_{q<=K} (-iA)^q / q! = C - iS with
+    C = sum_{q even} (-1)^(q/2) A^q / q! and
+    S = sum_{q odd} (-1)^((q-1)/2) A^q / q!,
+    and the running product is carried as a real pair Pr + iPi, using
+    (C - iS)(Pr + iPi) = (C Pr + S Pi) + i(C Pi - S Pr).
     """
     if not isinstance(H, SparseHermitian):
         H = SparseHermitian(np.asarray(H))
-    dec = one_sparse_decompose(H)
-    layers = dec.n_terms
+    layers = _layer_count(H.matrix)
     r = segment_count(H, cfg, layers)
     t_seg = cfg.time / r
     max_norm = H.max_norm
@@ -276,26 +315,33 @@ def simulate_noisy(
     counter.charge("matrix_element_oracle", T * r * n_slots)
     # sign discretization quantizes each read to a multiple of max_norm/m_disc
     quant = np.sign(reads) * sign_count_average(reads, max_norm, cfg.m_disc) * max_norm
+    # only the quantized reads are used from here on; free the raw ones
+    del reads
 
-    eye = np.eye(dim, dtype=np.complex128)
-    prod = np.tile(eye, (T, 1, 1))
+    # real arithmetic: the segment series is C - iS, the running product
+    # Pr + iPi starts from the first segment, (C_0, -S_0)
+    A = np.zeros((T, dim, dim))
     for s in range(r):
-        Ms = np.zeros((T, dim, dim), dtype=np.complex128)
-        Ms[:, rows, cols] = quant[:, s, :]
-        Ms[:, cols, rows] = quant[:, s, :]
-        A = (-1j * t_seg) * Ms
-        S = np.tile(eye, (T, 1, 1))
-        power = np.tile(eye, (T, 1, 1))
-        for q in range(1, cfg.order + 1):
-            power = np.matmul(power, A) / q
-            S = S + power
-        prod = np.matmul(S, prod)
+        vals = t_seg * quant[:, s, :]
+        A[:, rows, cols] = vals
+        A[:, cols, rows] = vals
+        C, S = _real_series(A, cfg.order)
+        if s == 0:
+            Pr, Pi = C, -S
+        else:
+            # (C - iS)(Pr + iPi), summed in place so fewer (T, dim, dim)
+            # temporaries are alive at once
+            Pr_next = C @ Pr
+            Pr_next += S @ Pi
+            Pi = C @ Pi
+            Pi -= S @ Pr
+            Pr = Pr_next
     counter.charge("lcu_segment_queries", T * r * cfg.order)
-    Q = prod.mean(axis=0)
+    Q = Pr.mean(axis=0) + 1j * Pi.mean(axis=0)
 
     M_eff = extract_effective_hamiltonian(Q, cfg.time)
     deviation = linalg.norm(H.matrix - M_eff, "spectral")
-    drift = linalg.norm(Q.conj().T @ Q - eye, "spectral")
+    drift = linalg.norm(Q.conj().T @ Q - np.eye(dim), "spectral")
     d = H.sparsity
     return NoisySimulationReport(
         effective_channel=Q,
@@ -323,6 +369,10 @@ def extract_effective_hamiltonian(Q, t: float) -> np.ndarray:
     Requires Q within 0.1 of unitary in spectral norm and eigenphases away
     from the branch cut (|phase| < pi - 0.1); ambiguous phases are an error,
     never silently unwrapped.
+
+    The log goes through the Cayley transform K = i(I - U)(I + U)^{-1}, which
+    is Hermitian with eigenvalue tan(phase / 2) on each eigenvector of U, so
+    an `eigh` of K gives H = V diag(-2 arctan(lambda) / t) V^dag.
     """
     if t == 0:
         raise ValueError("t must be nonzero")
@@ -330,10 +380,15 @@ def extract_effective_hamiltonian(Q, t: float) -> np.ndarray:
     U = polar_unitary(Q)
     if linalg.norm(Q - U, "spectral") > 0.1:
         raise ValueError("operator is too far from unitary to extract a generator")
-    vals, vecs = np.linalg.eig(U)
-    phases = np.angle(vals)
-    if np.any(np.abs(phases) >= math.pi - 0.1):
+    eye = np.eye(U.shape[0])
+    try:
+        # (I - U) and (I + U) commute, so the right inverse is a left solve
+        K = 1j * np.linalg.solve(eye + U, eye - U)
+        lam, V = np.linalg.eigh((K + K.conj().T) / 2.0)
+    except np.linalg.LinAlgError:
+        raise ValueError("eigenphase on the branch cut; wrap ambiguous") from None
+    if np.any(np.abs(lam) >= math.tan((math.pi - 0.1) / 2.0)):
         raise ValueError("eigenphase too close to the branch cut; wrap ambiguous")
-    energies = -phases / t
-    H_eff = vecs @ np.diag(energies) @ np.linalg.inv(vecs)
+    energies = -2.0 * np.arctan(lam) / t
+    H_eff = (V * energies) @ V.conj().T
     return linalg.check_hermitian(H_eff, tol=1e-6)

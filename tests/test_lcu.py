@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aqml import lcu, linalg
@@ -234,3 +234,144 @@ def test_query_accounting():
     charges = rep.queries.charges
     assert charges["lcu_segment_queries"] == 10 * rep.segments * cfg.order
     assert "matrix_element_oracle" in charges
+
+
+NOISE_GRID = [0.0, 1e-3, 1e-2]  # the eta and delta values of criterion 6
+
+
+def complex_loop_channel(A, cfg, rng):
+    """Reference for the real C - iS loop of simulate_noisy: the noisy
+    segment loop in complex arithmetic, with the layer count from the built
+    decomposition, the same oracle draws, a complex series per segment and a
+    complex running product started from the identity.  Returns (Q, r)."""
+    H = lcu.SparseHermitian(A)
+    r = lcu.segment_count(H, cfg, lcu.one_sparse_decompose(H).n_terms)
+    t_seg = cfg.time / r
+    max_norm = H.max_norm
+    dim = H.dim
+    rows, cols = np.nonzero(np.abs(np.triu(H.matrix)) > lcu.SPARSITY_THRESHOLD)
+    base_vals = np.real(H.matrix[rows, cols])
+    T = cfg.n_trials
+    reads = lcu._noisy_entry_samples(base_vals, cfg, max_norm, rng, T * r).reshape(
+        T, r, len(rows)
+    )
+    quant = (np.sign(reads) * lcu.sign_count_average(reads, max_norm, cfg.m_disc)
+             * max_norm)
+    eye = np.eye(dim, dtype=np.complex128)
+    prod = np.tile(eye, (T, 1, 1))
+    for s in range(r):
+        Ms = np.zeros((T, dim, dim), dtype=np.complex128)
+        Ms[:, rows, cols] = quant[:, s, :]
+        Ms[:, cols, rows] = quant[:, s, :]
+        A_s = (-1j * t_seg) * Ms
+        S = np.tile(eye, (T, 1, 1))
+        power = np.tile(eye, (T, 1, 1))
+        for q in range(1, cfg.order + 1):
+            power = np.matmul(power, A_s) / q
+            S = S + power
+        prod = np.matmul(S, prod)
+    return prod.mean(axis=0), r
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 10),
+    d=st.integers(1, 3),
+    order=st.integers(1, 12),
+    n_trials=st.integers(1, 20),
+    eta=st.sampled_from(NOISE_GRID),
+    delta=st.sampled_from(NOISE_GRID),
+    failure_mode=st.sampled_from(["uniform", "worst-case"]),
+    time=st.sampled_from([0.05, 0.5]),
+)
+@example(seed=0, dim=1, d=1, order=6, n_trials=5, eta=0.0, delta=0.0,
+         failure_mode="uniform", time=0.05)  # r = 1
+@example(seed=0, dim=10, d=3, order=12, n_trials=20, eta=1e-2, delta=1e-2,
+         failure_mode="worst-case", time=0.5)  # r > 1
+def test_simulate_noisy_matches_complex_loop(
+    seed, dim, d, order, n_trials, eta, delta, failure_mode, time
+):
+    A = random_sparse_symmetric(np.random.default_rng(seed), dim, min(d, dim))
+    cfg = lcu.TaylorConfig(order=order, m_disc=10**4, eta=eta, delta=delta,
+                           n_trials=n_trials, failure_mode=failure_mode,
+                           time=time)
+    ref_rng = np.random.default_rng([seed, 1])
+    Q_ref, r_ref = complex_loop_channel(A, cfg, ref_rng)
+    rng = np.random.default_rng([seed, 1])
+    try:
+        rep = lcu.simulate_noisy(A, cfg, rng)
+    except ValueError:
+        # a low-order channel too far from unitary: the reference is refused too
+        with pytest.raises(ValueError):
+            lcu.extract_effective_hamiltonian(Q_ref, time)
+    else:
+        assert rep.segments == r_ref
+        assert np.abs(rep.effective_channel - Q_ref).max() <= 1e-13
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 16),
+    d=st.integers(1, 5),
+    zero_diagonal=st.booleans(),
+)
+def test_layer_count_matches_decomposition(seed, dim, d, zero_diagonal):
+    A = random_sparse_symmetric(np.random.default_rng(seed), dim, min(d, dim))
+    if zero_diagonal:
+        np.fill_diagonal(A, 0.0)
+    assert lcu._layer_count(A) == lcu.one_sparse_decompose(A).n_terms
+
+
+def eig_effective_hamiltonian(Q, t):
+    """Reference for the Cayley extraction: the principal log through eig
+    and an eigenvector inverse."""
+    U = lcu.polar_unitary(Q)
+    vals, vecs = np.linalg.eig(U)
+    return vecs @ np.diag(-np.angle(vals) / t) @ np.linalg.inv(vecs)
+
+
+def random_orthogonal(rng, dim):
+    V, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+    return V
+
+
+def test_cayley_extraction_on_degenerate_spectrum():
+    # the criterion-7 spectrum: +-0.25, +-0.75, each with multiplicity 2
+    evals = np.array([-0.75, -0.75, -0.25, -0.25, 0.25, 0.25, 0.75, 0.75])
+    for seed in range(10):
+        rng = stream(seed, "lcu", "cayley")
+        V = random_orthogonal(rng, 8)
+        M = V @ np.diag(evals) @ V.T
+        for t in (0.5, 1.0, 3.0):
+            Q = linalg.operator_exp(M, t)
+            H = lcu.extract_effective_hamiltonian(Q, t)
+            assert np.abs(H - eig_effective_hamiltonian(Q, t)).max() <= 1e-12
+            assert np.abs(H - M).max() <= 1e-12
+
+
+def test_cayley_branch_cut_guard_edges():
+    rng = stream(0, "lcu", "cut")
+    V = random_orthogonal(rng, 4)
+    t = 2.0
+    for eps, refused in [(-1e-6, False), (1e-6, True)]:
+        phases = np.array([math.pi - 0.1 + eps, 0.3, -0.2, 0.0])
+        U = V @ np.diag(np.exp(-1j * phases)) @ V.T
+        if refused:
+            with pytest.raises(ValueError):
+                lcu.extract_effective_hamiltonian(U, t)
+        else:
+            H = lcu.extract_effective_hamiltonian(U, t)
+            expected = V @ np.diag(phases / t) @ V.T
+            assert np.abs(H - expected).max() <= 1e-10
+
+
+def test_cayley_rejects_eigenvalue_minus_one():
+    # I + U is singular (exactly, then up to rounding): the documented
+    # ValueError, not numpy's LinAlgError (itself a ValueError subclass)
+    V = random_orthogonal(stream(0, "lcu", "minus-one"), 4)
+    for U in (np.diag([-1.0, 1.0]), V @ np.diag([-1.0, 1.0, 1j, -1j]) @ V.T):
+        with pytest.raises(ValueError) as info:
+            lcu.extract_effective_hamiltonian(U, 1.0)
+        assert not isinstance(info.value, np.linalg.LinAlgError)
