@@ -6,7 +6,7 @@ expectation-sign baseline, and bounded-fraction adversary experiments."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -17,56 +17,50 @@ MAX_REDRAWS = 10
 
 
 @dataclass(frozen=True)
-class WeakClassifier:
-    """A linear model whose induced operator is the reflection about its
-    normal vector: eigenvalue +1 along w, -1 on the complement."""
-
-    w: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.w, dtype=np.float64)
-        if np.linalg.norm(w) < 1e-12:
-            raise ValueError("classifier normal vector must be nonzero")
-        object.__setattr__(self, "w", w)
-
-
-def classifier_operator(c: WeakClassifier, ambient_dim: int | None = None) -> np.ndarray:
-    """Reflection R = 2 w_hat w_hat^T - I: +1 eigenvector along the normal
-    (positive class), -1 on the orthogonal complement."""
-    w = c.w
-    if ambient_dim is not None:
-        if len(w) > ambient_dim:
-            raise ValueError("normal vector does not embed in the ambient dimension")
-        w = np.concatenate([w, np.zeros(ambient_dim - len(w))])
-    w_hat = w / np.linalg.norm(w)
-    return 2.0 * np.outer(w_hat, w_hat) - np.eye(len(w))
-
-
-@dataclass
 class EnsembleSpec:
-    classifiers: list  # of WeakClassifier
-    weights: np.ndarray
+    """Row j of `normals` is the normal w_j of classifier j, whose operator
+    is the reflection R_j = 2 w_hat_j w_hat_j^T - I; `weights` holds b_j."""
+
+    normals: np.ndarray  # (n, m), every row nonzero
+    weights: np.ndarray  # (n,)
     gap_gamma: float = 0.0  # claimed |eigenvalue| >= gamma/2 on the support
-    resample_indices: tuple = ()  # per-classifier bootstrap row indices, if trained
 
     def __post_init__(self):
+        W = np.asarray(self.normals, dtype=np.float64)
         b = np.asarray(self.weights, dtype=np.float64)
+        if W.ndim != 2 or b.shape != (len(W),):
+            raise ValueError("normals must be (n, m) with one weight per row")
+        if np.any(np.linalg.norm(W, axis=1) < 1e-12):
+            raise ValueError("classifier normal vectors must be nonzero")
         if np.any(b < 0) or abs(np.sum(b) - 1.0) > 1e-12:
             raise ValueError("weights must be nonnegative and sum to 1")
         if np.count_nonzero(b > 0) < 2:
             raise ValueError("an ensemble needs at least two positively weighted classifiers")
+        object.__setattr__(self, "normals", W)
         object.__setattr__(self, "weights", b)
 
-    @property
-    def ambient_dim(self) -> int:
-        return max(len(c.w) for c in self.classifiers)
+
+def _reflection_sum(normals: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_j b_j R_j = 2 W_hat^T diag(b) W_hat - (sum_j b_j) I over the rows
+    of `normals`; no rows give the zero matrix."""
+    # each row norm is one dot product, as np.linalg.norm takes it for a vector
+    W_hat = normals / np.sqrt(normals[:, None, :] @ normals[:, :, None])[:, 0]
+    S = 2.0 * (W_hat.T * weights) @ W_hat
+    S[np.diag_indices_from(S)] -= np.sum(weights)
+    return S
+
+
+def classifier_operator(w: np.ndarray) -> np.ndarray:
+    """Reflection R = 2 w_hat w_hat^T - I: +1 eigenvector along the normal
+    (positive class), -1 on the orthogonal complement."""
+    w = np.asarray(w, dtype=np.float64)
+    if w.ndim != 1 or np.linalg.norm(w) < 1e-12:
+        raise ValueError("classifier normal vector must be a nonzero 1-D array")
+    return _reflection_sum(w[None, :], np.ones(1))
 
 
 def ensemble_operator(spec: EnsembleSpec) -> np.ndarray:
-    dim = spec.ambient_dim
-    C = np.zeros((dim, dim))
-    for b, c in zip(spec.weights, spec.classifiers):
-        C += b * classifier_operator(c, dim)
+    C = _reflection_sum(spec.normals, spec.weights)
     if linalg.norm(C, "spectral") > 1.0 + 1e-10:
         raise AssertionError("convex combination of reflections exceeded unit norm")
     return C
@@ -88,9 +82,8 @@ def train_bootstrap_ensemble(
     if len(np.unique(y)) != 2:
         raise ValueError("two-class data required")
     n = len(X)
-    classifiers = []
-    resamples = []
-    for _ in range(count):
+    normals = np.empty((count, X.shape[1] + 1))
+    for i in range(count):
         for attempt in range(MAX_REDRAWS + 1):
             idx = rng.integers(0, n, size=n)
             ys = y[idx]
@@ -103,22 +96,16 @@ def train_bootstrap_ensemble(
         mu_minus = Xs[ys == np.min(ys)].mean(axis=0)
         w = mu_plus - mu_minus
         # lift by one affine coordinate so the midpoint offset is part of w
-        offset = -float(w @ (mu_plus + mu_minus)) / 2.0
-        classifiers.append(WeakClassifier(np.concatenate([w, [offset]])))
-        resamples.append(idx.copy())
+        normals[i, :-1] = w
+        normals[i, -1] = -float(w @ (mu_plus + mu_minus)) / 2.0
     weights = np.full(count, 1.0 / count)
     if count < 2:
         # degenerate single-member ensemble: duplicate so invariants hold
-        classifiers = classifiers * 2
-        resamples = resamples * 2
+        normals = np.vstack([normals, normals])
         weights = np.array([0.5, 0.5])
-    spec = EnsembleSpec(
-        classifiers=classifiers, weights=weights, resample_indices=tuple(resamples)
-    )
-    C = ensemble_operator(spec)
-    vals = np.abs(linalg.eig_hermitian(C).eigenvalues)
-    object.__setattr__(spec, "gap_gamma", float(2.0 * np.min(vals)))
-    return spec
+    spec = EnsembleSpec(normals, weights)
+    vals = np.abs(linalg.eig_hermitian(ensemble_operator(spec)).eigenvalues)
+    return replace(spec, gap_gamma=float(2.0 * np.min(vals)))
 
 
 @dataclass
@@ -179,11 +166,10 @@ def classify_by_eigenspace(
     )
 
 
-def classify_by_mean(psi: np.ndarray, spec: EnsembleSpec) -> ClassificationResult:
-    """Sign of the exact expectation <psi|C|psi>; kept as the baseline a
-    single compromised classifier can flip."""
+def classify_by_mean(psi: np.ndarray, C: np.ndarray) -> ClassificationResult:
+    """Sign of the exact expectation <psi|C|psi> for an ensemble operator C;
+    kept as the baseline a single compromised classifier can flip."""
     psi = np.asarray(psi, dtype=np.complex128)
-    C = ensemble_operator(spec)
     expect = float(np.real(psi.conj() @ C @ psi))
     tie = abs(expect) < 1e-15
     label = 1 if expect > 0 or tie else -1
@@ -194,26 +180,20 @@ def classify_by_mean(psi: np.ndarray, spec: EnsembleSpec) -> ClassificationResul
 
 @dataclass(frozen=True)
 class AttackSpec:
-    """Replacement attack on at most an alpha fraction of ensemble weight."""
+    """Flip attack on at most an alpha fraction of ensemble weight: the
+    chosen classifiers are negated, heaviest first, or in `target_indices`
+    order when given."""
 
     alpha: float
-    # 'flip-worst' and 'replace-target' both negate the chosen classifiers
-    # (heaviest first, or `target_indices` in order when given); 'custom'
-    # substitutes the `replacements` operators instead
-    strategy: str = "flip-worst"
     target_indices: tuple = ()
-    replacements: tuple = ()  # operators for 'custom'
 
     def __post_init__(self):
         if not (0.0 <= self.alpha < 1.0):
             raise ValueError("attack fraction must satisfy 0 <= alpha < 1")
-        if self.strategy not in ("flip-worst", "replace-target", "custom"):
-            raise ValueError(f"unknown attack strategy {self.strategy!r}")
 
 
 @dataclass
 class AttackReport:
-    spec: EnsembleSpec
     operator: np.ndarray
     norm_shift: float
     eig_shift_max: float
@@ -221,38 +201,22 @@ class AttackReport:
 
 
 def attack_ensemble(spec: EnsembleSpec, attack: AttackSpec) -> AttackReport:
-    """Replace up to alpha weight mass of classifiers with adversarial
-    Hermitian unitaries and report the operator and eigenvalue shifts,
-    asserting both stay within 2 alpha."""
-    dim = spec.ambient_dim
+    """Negate the classifiers of a set F holding at most alpha weight mass,
+    C' = C - 2 sum_{j in F} b_j R_j, and report the operator and eigenvalue
+    shifts, asserting both stay within 2 alpha."""
     C = ensemble_operator(spec)
-    ops = [classifier_operator(c, dim) for c in spec.classifiers]
     order = np.argsort(-spec.weights) if not attack.target_indices else list(
         attack.target_indices
     )
-    budget = attack.alpha
     used = 0.0
-    new_ops = list(ops)
-    custom = iter(attack.replacements)
+    flipped = np.zeros(len(spec.weights), dtype=bool)
     for j in order:
         b = float(spec.weights[j])
-        if b <= 0 or used + b > budget + 1e-12:
+        if b <= 0 or flipped[j] or used + b > attack.alpha + 1e-12:
             continue
-        if attack.strategy == "custom":
-            try:
-                R = np.asarray(next(custom), dtype=np.float64)
-            except StopIteration:
-                break
-            if (
-                linalg.norm(R - R.T, "spectral") > 1e-10
-                or linalg.norm(R @ R - np.eye(dim), "spectral") > 1e-10
-            ):
-                raise ValueError("replacement operator must be Hermitian and unitary")
-            new_ops[j] = R
-        else:
-            new_ops[j] = -ops[j]
+        flipped[j] = True
         used += b
-    Cp = sum(b * op for b, op in zip(spec.weights, new_ops))
+    Cp = C - 2.0 * _reflection_sum(spec.normals[flipped], spec.weights[flipped])
     norm_shift = linalg.norm(Cp - C, "spectral")
     if norm_shift > 2 * used + 1e-10:
         raise AssertionError("operator shift exceeded 2 alpha")
@@ -262,8 +226,7 @@ def attack_ensemble(spec: EnsembleSpec, attack: AttackSpec) -> AttackReport:
     if eig_shift > 2 * used + 1e-10:
         raise AssertionError("eigenvalue shift exceeded 2 alpha")
     return AttackReport(
-        spec=spec, operator=Cp, norm_shift=norm_shift, eig_shift_max=eig_shift,
-        alpha_used=used,
+        operator=Cp, norm_shift=norm_shift, eig_shift_max=eig_shift, alpha_used=used
     )
 
 
@@ -284,20 +247,17 @@ def mean_attack_construction(n_classifiers: int) -> dict:
     honest = np.zeros(dim)
     honest[0] = w1
     honest[1] = math.sqrt(1.0 - w1**2)
-    classifiers = [WeakClassifier(honest.copy()) for _ in range(N)]
-    spec = EnsembleSpec(classifiers=classifiers, weights=np.full(N, 1.0 / N))
+    spec = EnsembleSpec(np.tile(honest, (N, 1)), np.full(N, 1.0 / N))
     # adversary flips classifier 0 so its expectation on psi becomes -1
-    dim_amb = spec.ambient_dim
-    ops = [classifier_operator(c, dim_amb) for c in spec.classifiers]
-    flipped = np.zeros(dim_amb)
-    flipped[1] = 1.0  # normal orthogonal to psi: expectation exactly -1
-    ops[0] = classifier_operator(WeakClassifier(flipped), dim_amb)
-    C_attacked = sum(b * op for b, op in zip(spec.weights, ops))
+    attacked = spec.normals.copy()
+    attacked[0] = 0.0
+    attacked[0, 1] = 1.0  # normal orthogonal to psi: expectation exactly -1
+    C_attacked = _reflection_sum(attacked, spec.weights)
     return {
         "spec": spec,
         "psi": psi,
         "attacked_operator": C_attacked,
         "honest_expectation": target,
-        "clean_class": classify_by_mean(psi, spec).label,
+        "clean_class": classify_by_mean(psi, ensemble_operator(spec)).label,
         "attacked_expectation": float(np.real(psi @ C_attacked @ psi)),
     }

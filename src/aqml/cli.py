@@ -12,6 +12,7 @@ import json
 import math
 import os
 import sys
+import traceback
 
 import numpy as np
 
@@ -157,6 +158,12 @@ def _validate(subcommand: str, cfg: dict) -> None:
     elif subcommand == "boost":
         if any(not (0.0 <= a < 1.0) for a in cfg["alphas"]):
             raise ValueError("attack fractions must lie in [0, 1)")
+        # the ensemble operator acts on the dim features plus the affine one
+        side = cfg["dim"] + 1
+        if side > linalg.DIM_CAP:
+            raise ValueError(
+                f"ensemble operator side {side} exceeds the cap {linalg.DIM_CAP}"
+            )
     elif subcommand == "kmeans":
         centers = np.asarray(cfg["blob_centers"], dtype=np.float64)
         if centers.shape != (cfg["k"], cfg["d"]):
@@ -226,10 +233,9 @@ def run_boost(cfg: dict, seed: int, out_dir: str) -> int:
         spec = boosting.train_bootstrap_ensemble(X, y, cfg["n_classifiers"], rng)
         v = np.concatenate([X[0], [1.0]])
         psi = v / np.linalg.norm(v)
-        clean = boosting.classify_by_eigenspace(
-            psi, boosting.ensemble_operator(spec), bits=cfg["bits"]
-        )
-        mean = boosting.classify_by_mean(psi, spec)
+        C = boosting.ensemble_operator(spec)
+        clean = boosting.classify_by_eigenspace(psi, C, bits=cfg["bits"])
+        mean = boosting.classify_by_mean(psi, C)
         for alpha in cfg["alphas"]:
             rep = boosting.attack_ensemble(spec, boosting.AttackSpec(alpha=alpha))
             attacked = boosting.classify_by_eigenspace(
@@ -351,7 +357,12 @@ def main(argv=None) -> int:
     os.makedirs(args.out, exist_ok=True)
     header = {"subcommand": args.subcommand, "seed": args.seed, "config": cfg}
     print(json.dumps(header, sort_keys=True))
-    status = _RUNNERS[args.subcommand](cfg, args.seed, args.out)
+    try:
+        status = _RUNNERS[args.subcommand](cfg, args.seed, args.out)
+    except Exception as exc:  # a crash is never reported as a violated bound
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     if status != 0:
         print("bound violation or failed check; see artifacts", file=sys.stderr)
     return status

@@ -72,17 +72,14 @@ def _check_taylor(rng):
 
 def _check_reflections(rng):
     worst = 0.0
-    for _ in range(20):
-        R = boosting.classifier_operator(boosting.WeakClassifier(rng.standard_normal(6)))
+    for w in rng.standard_normal((20, 6)):
+        R = boosting.classifier_operator(w)
         worst = max(worst, float(np.max(np.abs(R @ R - np.eye(6)))))
     return worst <= 1e-10, f"max ||R^2 - I|| entry {worst:.1e}"
 
 
 def _check_attack_bound(rng):
-    spec = boosting.EnsembleSpec(
-        [boosting.WeakClassifier(rng.standard_normal(5)) for _ in range(5)],
-        np.full(5, 0.2),
-    )
+    spec = boosting.EnsembleSpec(rng.standard_normal((5, 5)), np.full(5, 0.2))
     rep = boosting.attack_ensemble(spec, boosting.AttackSpec(alpha=0.4))
     ok = rep.eig_shift_max <= 2 * rep.alpha_used + 1e-10
     return ok, f"eig shift {rep.eig_shift_max:.3f} <= 2 alpha = {2*rep.alpha_used:.3f}"

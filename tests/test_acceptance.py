@@ -365,8 +365,7 @@ def test_criterion_10_boosting_adversary():
     shift_ok = True
     for trial in range(200):
         n = int(rng.integers(3, 9))
-        cls = [boosting.WeakClassifier(rng.normal(size=4)) for _ in range(n)]
-        spec = boosting.EnsembleSpec(cls, np.full(n, 1.0 / n))
+        spec = boosting.EnsembleSpec(rng.normal(size=(n, 4)), np.full(n, 1.0 / n))
         alpha = float(rng.uniform(0.0, 0.5))
         rep = boosting.attack_ensemble(spec, boosting.AttackSpec(alpha=alpha))
         if rep.eig_shift_max > 2.0 * rep.alpha_used + 1e-10:
@@ -375,8 +374,7 @@ def test_criterion_10_boosting_adversary():
     # exhaustive stability at 3 classifiers: gap 2, every single-member
     # attack has alpha = 1/3 < gamma/4 = 1/2 and must not flip the label
     w = np.array([0.6, 0.8, 0.0])
-    cls3 = [boosting.WeakClassifier(w.copy()) for _ in range(3)]
-    spec3 = boosting.EnsembleSpec(cls3, np.full(3, 1.0 / 3.0))
+    spec3 = boosting.EnsembleSpec(np.tile(w, (3, 1)), np.full(3, 1.0 / 3.0))
     psi3 = np.concatenate([w[:2] / np.linalg.norm(w[:2]), [0.0]])
     clean3 = boosting.classify_by_eigenspace(
         psi3, boosting.ensemble_operator(spec3), bits=10
@@ -384,9 +382,7 @@ def test_criterion_10_boosting_adversary():
     exhaustive_ok = True
     for j in range(3):
         rep = boosting.attack_ensemble(
-            spec3, boosting.AttackSpec(alpha=1.0 / 3.0,
-                                       strategy="replace-target",
-                                       target_indices=(j,))
+            spec3, boosting.AttackSpec(alpha=1.0 / 3.0, target_indices=(j,))
         )
         att = boosting.classify_by_eigenspace(psi3, rep.operator, bits=10)
         if att.label != clean3:
@@ -405,10 +401,10 @@ def test_criterion_10_boosting_adversary():
                 v[0] = 1.0
             else:
                 v = np.concatenate([[0.0], rng.normal(size=dim - 1)])
-            cls.append(boosting.WeakClassifier(v))
+            cls.append(v)
         wts = rng.random(n)
         wts /= wts.sum()
-        spec = boosting.EnsembleSpec(cls, wts)
+        spec = boosting.EnsembleSpec(np.array(cls), wts)
         C = boosting.ensemble_operator(spec)
         gamma = 2.0 * float(np.min(np.abs(np.linalg.eigvalsh(C))))
         if gamma < 0.05:

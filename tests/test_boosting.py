@@ -1,10 +1,13 @@
 """Reflection classifiers, eigenspace vs mean-expectation classification,
 bootstrap training, and bounded-fraction adversary experiments."""
 
+import copy
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aqml import boosting, linalg
 from aqml.util import stream
@@ -12,19 +15,86 @@ from aqml.util import stream
 
 def two_reflections_spec():
     # normals along e1 and (e1+e2)/sqrt2: C has eigenvalues +-1/sqrt2
-    c1 = boosting.WeakClassifier(np.array([1.0, 0.0]))
-    c2 = boosting.WeakClassifier(np.array([1.0, 1.0]))
-    return boosting.EnsembleSpec([c1, c2], np.array([0.5, 0.5]))
+    normals = np.array([[1.0, 0.0], [1.0, 1.0]])
+    return boosting.EnsembleSpec(normals, np.array([0.5, 0.5]))
+
+
+def reflection_sum_loop(normals, weights):
+    """Reference: sum_j b_j (2 w_hat_j w_hat_j^T - I), one classifier at a time."""
+    m = normals.shape[1]
+    C = np.zeros((m, m))
+    for w, b in zip(normals, weights):
+        w_hat = w / np.linalg.norm(w)
+        C += b * (2.0 * np.outer(w_hat, w_hat) - np.eye(m))
+    return C
+
+
+def flip_attack_loop(normals, weights, alpha, targets=()):
+    """Reference flip attack: negate classifiers heaviest first, or in
+    `targets` order, while their weight still fits in alpha; each classifier
+    is negated at most once. Then sum the signed reflections."""
+    signs = np.ones(len(weights))
+    used = 0.0
+    for j in targets or np.argsort(-weights):
+        b = float(weights[j])
+        if b <= 0 or signs[j] < 0 or used + b > alpha + 1e-12:
+            continue
+        signs[j] = -1.0
+        used += b
+    return reflection_sum_loop(normals, signs * weights), used
+
+
+@st.composite
+def weighted_ensembles(draw):
+    """Each normal repeats one of three base rows, sits 1e-9 from one
+    (near-parallel), or is fresh; weights are random or uniform (ties), with
+    some zeros but at least two positive. Attack targets may repeat."""
+    n = draw(st.integers(2, 12))
+    m = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = rng.standard_normal((3, m))
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(["repeat", "near", "fresh"]),
+                              min_size=n, max_size=n)):
+        b = base[rng.integers(3)]
+        if kind == "repeat":
+            rows.append(b)
+        elif kind == "near":
+            rows.append(b + 1e-9 * rng.standard_normal(m))
+        else:
+            rows.append(rng.standard_normal(m))
+    w = np.ones(n) if draw(st.booleans()) else rng.random(n)
+    zeros = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    w[2:][np.array(zeros[2:], dtype=bool)] = 0.0
+    targets = tuple(draw(st.lists(st.integers(0, n - 1), max_size=2 * n)))
+    return np.array(rows), w / w.sum(), targets
+
+
+@settings(max_examples=200, deadline=None)
+@given(weighted_ensembles(), st.floats(0.0, 1.0, exclude_max=True))
+def test_operators_match_per_classifier_loop(ensemble, alpha):
+    normals, weights, targets = ensemble
+    spec = boosting.EnsembleSpec(normals, weights)
+    C = boosting.ensemble_operator(spec)
+    assert np.max(np.abs(C - reflection_sum_loop(normals, weights))) <= 1e-12
+    Cp_ref, used_ref = flip_attack_loop(normals, weights, alpha, targets)
+    rep = boosting.attack_ensemble(
+        spec, boosting.AttackSpec(alpha=alpha, target_indices=targets)
+    )
+    assert np.max(np.abs(rep.operator - Cp_ref)) <= 1e-12
+    assert rep.alpha_used == used_ref
 
 
 def test_classifier_operator_is_reflection():
-    R = boosting.classifier_operator(boosting.WeakClassifier(np.array([3.0, 4.0])))
+    R = boosting.classifier_operator(np.array([3.0, 4.0]))
     assert np.allclose(R @ R, np.eye(2), atol=1e-12)
     assert np.allclose(R, R.T, atol=1e-12)
     vals = np.sort(np.linalg.eigvalsh(R))
     assert np.allclose(vals, [-1.0, 1.0], atol=1e-12)
     w = np.array([0.6, 0.8])
     assert np.allclose(R @ w, w, atol=1e-12)
+    with pytest.raises(ValueError):
+        boosting.classifier_operator(np.zeros(2))
 
 
 def test_anticommuting_pair_eigenvalues():
@@ -40,19 +110,24 @@ def test_ensemble_norm_at_most_one():
     rng = stream(0, "boost", "norm")
     for trial in range(10):
         n = int(rng.integers(2, 6))
-        cls = [boosting.WeakClassifier(rng.normal(size=3)) for _ in range(n)]
+        normals = rng.normal(size=(n, 3))
         w = rng.random(n)
-        spec = boosting.EnsembleSpec(cls, w / w.sum())
+        spec = boosting.EnsembleSpec(normals, w / w.sum())
         C = boosting.ensemble_operator(spec)
         assert linalg.norm(C, "spectral") <= 1.0 + 1e-10
 
 
 def test_weights_validation():
-    c = [boosting.WeakClassifier(np.array([1.0, 0.0]))] * 2
-    with pytest.raises(ValueError):
-        boosting.EnsembleSpec(c, np.array([0.7, 0.2]))
-    with pytest.raises(ValueError):
-        boosting.EnsembleSpec(c, np.array([1.0, 0.0]))
+    c = np.array([[1.0, 0.0], [1.0, 0.0]])
+    for normals, weights in [
+        (c, [0.7, 0.2]),
+        (c, [1.0, 0.0]),
+        ([[1.0, 0.0], [0.0, 0.0]], [0.5, 0.5]),  # a zero normal
+        ([1.0, 0.0], [0.5, 0.5]),  # 1-D normals
+        ([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [0.5, 0.5]),  # 3 rows, 2 weights
+    ]:
+        with pytest.raises(ValueError):
+            boosting.EnsembleSpec(np.array(normals), np.array(weights))
 
 
 def test_eigenspace_classification_on_eigenvectors():
@@ -81,8 +156,8 @@ def test_eigenspace_classification_sampled_mode():
 
 def test_classify_by_mean_matches_expectation_sign():
     spec = two_reflections_spec()
-    res = boosting.classify_by_mean(np.array([1.0, 0.0]), spec)
     C = boosting.ensemble_operator(spec)
+    res = boosting.classify_by_mean(np.array([1.0, 0.0]), C)
     expect = float(np.array([1.0, 0.0]) @ C @ np.array([1.0, 0.0]))
     assert res.label == (1 if expect > 0 else -1)
     assert res.confidence == pytest.approx(abs(expect))
@@ -96,12 +171,22 @@ def test_bootstrap_training_basics():
         rng.normal(loc=-1.0, scale=0.3, size=(n // 2, 2)),
     ])
     y = np.array([1] * (n // 2) + [-1] * (n // 2))
+    replay = copy.deepcopy(rng)
     spec = boosting.train_bootstrap_ensemble(X, y, count=8, rng=rng)
-    assert len(spec.classifiers) == 8
-    assert len(spec.resample_indices) == 8
+    assert spec.normals.shape == (8, 3)
     assert spec.weights.sum() == pytest.approx(1.0)
+    excluded = []
+    for row in spec.normals:
+        idx = replay.integers(0, n, size=n)
+        assert len(np.unique(y[idx])) == 2  # no redraw, so the replay stays in step
+        mu_plus = X[idx][y[idx] == 1].mean(axis=0)
+        mu_minus = X[idx][y[idx] == -1].mean(axis=0)
+        w = mu_plus - mu_minus
+        lifted = np.concatenate([w, [-float(w @ (mu_plus + mu_minus)) / 2.0]])
+        np.testing.assert_allclose(row, lifted, rtol=1e-12, atol=1e-15)
+        excluded.append(1.0 - len(np.unique(idx)) / n)
+    assert replay.bit_generator.state == rng.bit_generator.state
     # bootstrap resamples exclude roughly a 1/e fraction of rows
-    excluded = [1.0 - len(np.unique(idx)) / n for idx in spec.resample_indices]
     assert 0.25 <= float(np.mean(excluded)) <= 0.5
 
 
@@ -110,8 +195,8 @@ def test_bootstrap_single_member_duplicated():
     X = rng.normal(size=(40, 2))
     y = np.array([1] * 20 + [-1] * 20)
     spec = boosting.train_bootstrap_ensemble(X, y, count=1, rng=rng)
-    assert len(spec.classifiers) == 2
-    assert np.allclose(spec.classifiers[0].w, spec.classifiers[1].w)
+    assert spec.normals.shape == (2, 3)
+    assert np.allclose(spec.normals[0], spec.normals[1])
 
 
 def test_attack_alpha_zero_is_identity():
@@ -124,14 +209,8 @@ def test_attack_alpha_zero_is_identity():
 def test_attack_one_of_three_exact_shift():
     # flipping one of three equal-weight classifiers shifts the operator by
     # exactly 2/3 in spectral norm
-    cls = [
-        boosting.WeakClassifier(np.array([1.0, 0.0, 0.0])),
-        boosting.WeakClassifier(np.array([0.0, 1.0, 0.0])),
-        boosting.WeakClassifier(np.array([0.0, 0.0, 1.0])),
-    ]
-    spec = boosting.EnsembleSpec(cls, np.full(3, 1.0 / 3.0))
-    attack = boosting.AttackSpec(alpha=1.0 / 3.0, strategy="replace-target",
-                                 target_indices=(0,))
+    spec = boosting.EnsembleSpec(np.eye(3), np.full(3, 1.0 / 3.0))
+    attack = boosting.AttackSpec(alpha=1.0 / 3.0, target_indices=(0,))
     rep = boosting.attack_ensemble(spec, attack)
     assert rep.norm_shift == pytest.approx(2.0 / 3.0, abs=1e-12)
     assert rep.alpha_used == pytest.approx(1.0 / 3.0)
@@ -141,40 +220,18 @@ def test_attack_eig_shifts_bounded():
     rng = stream(0, "boost", "atk")
     for trial in range(30):
         n = int(rng.integers(3, 8))
-        cls = [boosting.WeakClassifier(rng.normal(size=4)) for _ in range(n)]
-        spec = boosting.EnsembleSpec(cls, np.full(n, 1.0 / n))
+        spec = boosting.EnsembleSpec(rng.normal(size=(n, 4)), np.full(n, 1.0 / n))
         alpha = float(rng.choice([0.1, 0.2, 0.3]))
         rep = boosting.attack_ensemble(spec, boosting.AttackSpec(alpha=alpha))
         assert rep.norm_shift <= 2.0 * rep.alpha_used + 1e-10
         assert rep.eig_shift_max <= 2.0 * rep.alpha_used + 1e-10
 
 
-def test_attack_custom_replacement_validated():
-    spec = two_reflections_spec()
-    bad = np.array([[1.0, 0.5], [0.0, 1.0]])
-    attack = boosting.AttackSpec(alpha=0.5, strategy="custom",
-                                 target_indices=(0,), replacements=(bad,))
-    with pytest.raises(ValueError):
-        boosting.attack_ensemble(spec, attack)
-
-
-def test_attack_unknown_strategy_rejected():
-    # on two_reflections_spec() no weight of 1/2 fits alpha = 0.4, so the
-    # attack loop never reads the strategy; the spec itself must reject it
-    with pytest.raises(ValueError, match="unknown attack strategy"):
-        boosting.AttackSpec(alpha=0.4, strategy="bogus")
-
-
 def test_eigenspace_stable_under_small_attack():
     # with gap gamma and alpha < gamma/4 the eigenspace decision on a
     # simultaneous eigenvector cannot flip
-    cls = [
-        boosting.WeakClassifier(np.array([1.0, 0.0])),
-        boosting.WeakClassifier(np.array([1.0, 0.0])),
-        boosting.WeakClassifier(np.array([1.0, 0.0])),
-        boosting.WeakClassifier(np.array([0.0, 1.0])),
-    ]
-    spec = boosting.EnsembleSpec(cls, np.full(4, 0.25))
+    normals = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    spec = boosting.EnsembleSpec(normals, np.full(4, 0.25))
     C = boosting.ensemble_operator(spec)
     gamma = 2.0 * float(np.min(np.abs(np.linalg.eigvalsh(C))))
     psi = np.array([1.0, 0.0])
@@ -182,8 +239,7 @@ def test_eigenspace_stable_under_small_attack():
     alpha = gamma / 4.0 - 0.05
     assert alpha > 0
     rep = boosting.attack_ensemble(
-        spec, boosting.AttackSpec(alpha=alpha, strategy="replace-target",
-                                  target_indices=(3,))
+        spec, boosting.AttackSpec(alpha=alpha, target_indices=(3,))
     )
     attacked = boosting.classify_by_eigenspace(psi, rep.operator, bits=10)
     assert attacked.label == clean.label
@@ -198,11 +254,3 @@ def test_mean_attack_flips_sign():
         assert out["honest_expectation"] == pytest.approx(1.0 / (2.0 * n))
         assert out["attacked_expectation"] < 0.0
 
-
-def test_ambient_dim_embedding():
-    c = boosting.WeakClassifier(np.array([1.0]))
-    R = boosting.classifier_operator(c, ambient_dim=3)
-    assert R.shape == (3, 3)
-    assert np.allclose(np.linalg.eigvalsh(R), [-1.0, -1.0, 1.0], atol=1e-12)
-    with pytest.raises(ValueError):
-        boosting.classifier_operator(boosting.WeakClassifier(np.ones(4)), 3)

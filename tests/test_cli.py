@@ -73,6 +73,7 @@ def test_kmeans_blob_centers_shape_exits_2(tmp_path, capsys, centers):
     ("kmeans", {"blob_sigma": -1.0}),
     ("kmeans", {"privacy_check_qubits": 20}),
     ("kmeans", {"blob_centers": [[float("inf"), 0.6], [-0.6, -0.6]]}),
+    ("boost", {"dim": 5000, "seeds": 1}),
 ])
 def test_malformed_config_exits_2(tmp_path, capsys, sub, payload):
     cfg = write_cfg(tmp_path, "bad.json", payload)
@@ -115,6 +116,16 @@ def test_qpca_unresolved_column(tmp_path, capsys, payload, flag):
     rows = [dict(zip(columns, line.split(","))) for line in lines[2:]]
     first = [r["unresolved"] for r in rows if r["seed"] == "0"]
     assert first == [flag] * 3
+
+
+def test_runner_crash_exits_3(tmp_path, capsys):
+    # two points leave every bootstrap resample a coin flip between classes,
+    # so 3000 classifiers exhaust the redraws: an internal error, not exit 1
+    cfg = write_cfg(tmp_path, "b.json",
+                    {"n_points": 2, "n_classifiers": 3000, "seeds": 1})
+    rc = cli.main(["boost", "--config", cfg, "--seed", "0", "--out", str(tmp_path)])
+    assert rc == 3
+    assert "internal error: RuntimeError" in capsys.readouterr().err
 
 
 def test_verify_subcommand_passes(tmp_path, capsys):
