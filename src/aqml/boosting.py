@@ -12,10 +12,6 @@ import numpy as np
 
 from . import linalg, statevec
 
-# fresh draws allowed per bootstrap resample that comes out single-class
-MAX_REDRAWS = 10
-
-
 @dataclass(frozen=True)
 class EnsembleSpec:
     """Row j of `normals` is the normal w_j of classifier j, whose operator
@@ -74,7 +70,8 @@ def train_bootstrap_ensemble(
 ) -> EnsembleSpec:
     """Bootstrap-resample the labeled data `count` times and fit one
     mean-difference hyperplane (normal mu+ - mu-, midpoint offset folded
-    into the lifted coordinate) per resample; uniform ensemble weights."""
+    into the lifted coordinate) per resample; uniform ensemble weights.
+    A resample that comes out single-class is drawn again."""
     X = np.asarray(vectors, dtype=np.float64)
     y = np.asarray(labels)
     if X.ndim != 2 or len(y) != len(X):
@@ -84,13 +81,13 @@ def train_bootstrap_ensemble(
     n = len(X)
     normals = np.empty((count, X.shape[1] + 1))
     for i in range(count):
-        for attempt in range(MAX_REDRAWS + 1):
+        # redraw a single-class resample; with both classes in the data this
+        # ends with probability 1
+        while True:
             idx = rng.integers(0, n, size=n)
             ys = y[idx]
             if len(np.unique(ys)) == 2:
                 break
-        else:
-            raise RuntimeError("bootstrap resample was single-class after max redraws")
         Xs = X[idx]
         mu_plus = Xs[ys == np.max(ys)].mean(axis=0)
         mu_minus = Xs[ys == np.min(ys)].mean(axis=0)

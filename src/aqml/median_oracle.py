@@ -4,8 +4,15 @@ gamma-approximate matrix-element oracle composed from it.
 The "coherent" part of the construction is modeled by the success/failure
 contract of `statevec.amplitude_estimate`: each probability readout is within
 epsilon0 of the truth except with probability delta0, when it is the end
-point of [0, 1] farthest from the truth.  Search endpoints are tracked as
-exact dyadic rationals so interval midpoints stay exact.
+point of [0, 1] farthest from the truth.
+
+One engine runs any number of searches ("lanes") step by step together.
+Search endpoints are exact Python integers over the common denominator
+q * 2^(p_max + 1), where q is the denominator of the widening eps' + L eps0
+taken as a fraction with denominator at most 2^60.  q need not be a power
+of two (it is odd at gamma = 0.05 in `matrix_element_oracle`), so the
+endpoints are not dyadic; midpoints stay exact all the same, and each is
+rounded to a float once, by int / int division.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,6 +85,57 @@ class MedianSearchResult:
     value: float
     queries: int
     trace: list  # (midpoint, estimate) per iteration
+    intervals: list  # normalized (left, right) after each iteration
+
+
+class _Lockstep(NamedTuple):
+    values: np.ndarray  # median estimates, (lanes,)
+    mids: np.ndarray  # normalized midpoint of every step, (p_max, lanes)
+    estimates: np.ndarray  # CDF readout of every step, (p_max, lanes)
+    intervals: list  # the first lane's (left, right) after every step
+    denom: int  # of the endpoints, which are integers
+
+
+def _lockstep_search(readout, lanes: int, cfg: MedianSearchConfig, domain: tuple) -> _Lockstep:
+    """Run `lanes` binary-search medians together, one step at a time.
+
+    readout(step, y) returns the CDF estimates at the lanes' query points y,
+    a float array of shape (lanes,).
+    """
+    lo, hi = domain
+    if not hi > lo:
+        raise ValueError("empty search domain")
+    # widening applied to the updated endpoint each iteration; keeps the
+    # true median inside the interval despite readout errors
+    widen = Fraction(cfg.epsilon_prime + cfg.lipschitz * cfg.epsilon0).limit_denominator(
+        2**60
+    )
+    # every endpoint and midpoint is an integer over this denominator
+    denom = widen.denominator << (cfg.p_max + 1)
+    step_w = widen.numerator << (cfg.p_max + 1)
+    left = np.full(lanes, 0, dtype=object)
+    right = np.full(lanes, denom, dtype=object)
+    mids = np.empty((cfg.p_max, lanes))
+    ests = np.empty((cfg.p_max, lanes))
+    intervals = []
+    for step in range(cfg.p_max):
+        mid = (left + right) // 2
+        mids[step] = mid / denom  # int / int rounds correctly
+        est = ests[step] = readout(step, lo + mids[step] * (hi - lo))
+        # a readout within eps0 of 1/2 certifies the midpoint as a
+        # near-median: in the success branch |F(mid) - 1/2| <= 2 eps0, so
+        # the median lies within L * 2 eps0 = eps' + L eps0 of mid.  Pinning
+        # the interval there keeps degenerate CDFs (flat at 1/2) from
+        # random-walking.
+        pinned = np.abs(est - 0.5) <= cfg.epsilon0
+        below = est < 0.5
+        up = pinned | below
+        left[up] = np.maximum(mid[up] - step_w, 0)
+        up = pinned | ~below
+        right[up] = np.minimum(mid[up] + step_w, denom)
+        intervals.append((left[:1].copy(), right[:1].copy()))
+    mid = ((left + right) // 2 / denom).astype(np.float64)
+    return _Lockstep(lo + mid * (hi - lo), mids, ests, intervals, denom)
 
 
 def binary_search_median(
@@ -94,41 +153,21 @@ def binary_search_median(
     normalized units); the overall failure probability is at most
     p_max * delta0 by the union bound.
     """
-    lo, hi = domain
-    if not hi > lo:
-        raise ValueError("empty search domain")
     if counter is None:
         counter = QueryCounter()
-    # widening applied to the updated endpoint each iteration; keeps the
-    # true median inside the interval despite readout errors
-    widen = Fraction(cfg.epsilon_prime + cfg.lipschitz * cfg.epsilon0).limit_denominator(
-        2**60
-    )
-    left, right = Fraction(0), Fraction(1)
-    trace = []
-    for _ in range(cfg.p_max):
-        mid = (left + right) / 2
-        y = lo + float(mid) * (hi - lo)
-        est = float(cdf_oracle(y))
+
+    def readout(step, y):
+        est = float(cdf_oracle(float(y[0])))
         counter.charge("cdf_oracle", 1)
-        trace.append((float(mid), est))
-        if abs(est - 0.5) <= cfg.epsilon0:
-            # midpoint is itself a certified near-median: in the success
-            # branch |F(mid) - 1/2| <= 2 eps0, so the median lies within
-            # L * 2 eps0 = eps' + L eps0 of mid.  Pinning the interval there
-            # keeps degenerate CDFs (flat at 1/2) from random-walking.
-            left, right = mid - widen, mid + widen
-        elif est < 0.5:
-            left = mid - widen
-        else:
-            right = mid + widen
-        left = max(left, Fraction(0))
-        right = min(right, Fraction(1))
-    mid = (left + right) / 2
+        return np.array([est])
+
+    run = _lockstep_search(readout, 1, cfg, domain)
     return MedianSearchResult(
-        value=lo + float(mid) * (hi - lo),
+        value=float(run.values[0]),
         queries=counter.total,
-        trace=trace,
+        trace=list(zip(run.mids[:, 0].tolist(), run.estimates[:, 0].tolist())),
+        intervals=[(left[0] / run.denom, right[0] / run.denom)
+                   for left, right in run.intervals],
     )
 
 
@@ -142,6 +181,16 @@ def exact_cdf_oracle(values) -> callable:
     return oracle
 
 
+def _readout_charges(cfg: MedianSearchConfig) -> tuple:
+    """(amplitude_estimation, data_oracle) queries of one noisy CDF readout:
+    each amplitude-estimation invocation applies the comparator circuit,
+    which itself queries the data oracle O(1/epsilon') times to compute
+    inner products to precision epsilon'."""
+    ae_charge = statevec.ae_query_charge(cfg.epsilon0, cfg.delta0)
+    ip_charge = int(math.ceil(1.0 / max(cfg.epsilon_prime, 1e-9)))
+    return ae_charge, ae_charge * ip_charge
+
+
 def noisy_cdf_oracle(
     values,
     cfg: MedianSearchConfig,
@@ -150,15 +199,11 @@ def noisy_cdf_oracle(
 ) -> callable:
     """Empirical CDF read out through the amplitude-estimation contract."""
     exact = exact_cdf_oracle(values)
-    # each amplitude-estimation invocation applies the comparator circuit,
-    # which itself queries the data oracle O(1/epsilon') times to compute
-    # inner products to precision epsilon'
-    ae_charge = statevec.ae_query_charge(cfg.epsilon0, cfg.delta0)
-    ip_charge = int(math.ceil(1.0 / max(cfg.epsilon_prime, 1e-9)))
+    data_charge = _readout_charges(cfg)[1]
 
     def oracle(y: float) -> float:
         if counter is not None:
-            counter.charge("data_oracle", ae_charge * ip_charge)
+            counter.charge("data_oracle", data_charge)
         return statevec.amplitude_estimate(
             exact(y),
             epsilon0=cfg.epsilon0,
@@ -168,6 +213,37 @@ def noisy_cdf_oracle(
         )
 
     return oracle
+
+
+def _noisy_medians(
+    values: np.ndarray,
+    cfg: MedianSearchConfig,
+    draws: tuple,
+    domain: tuple,
+    counter: QueryCounter,
+) -> np.ndarray:
+    """Medians of the rows of `values` (lanes, n), searched together; the
+    readout of lane i at step t is the empirical CDF through the
+    amplitude-estimation contract with the drawn (failed, noise)[i, t]."""
+    statevec.check_ae_precision(cfg.epsilon0, cfg.delta0)
+    failed, noise = draws
+    lanes, n = values.shape
+    if n == 0:
+        raise ValueError("no values to take the median of")
+
+    def readout(step, y):
+        prob = np.count_nonzero(values < y[:, None], axis=1) / n
+        return statevec.ae_readout(prob, cfg.epsilon0, failed[:, step], noise[:, step])
+
+    medians = _lockstep_search(readout, lanes, cfg, domain).values
+    readouts = lanes * cfg.p_max
+    if readouts:
+        # in the order one readout charges them
+        ae_charge, data_charge = _readout_charges(cfg)
+        counter.charge("data_oracle", readouts * data_charge)
+        counter.charge("amplitude_estimation", readouts * ae_charge)
+        counter.charge("cdf_oracle", readouts)
+    return medians
 
 
 def quantum_median(
@@ -180,27 +256,34 @@ def quantum_median(
     """Median of a list of reals estimated through the full noisy pipeline."""
     if counter is None:
         counter = QueryCounter()
-    oracle = noisy_cdf_oracle(values, cfg, rng, counter)
-    return binary_search_median(oracle, cfg, rng, domain=domain, counter=counter).value
+    failed, noise = statevec.ae_draws(cfg.p_max, cfg.delta0, rng)
+    values = np.asarray(values, dtype=np.float64)[None, :]
+    return float(_noisy_medians(values, cfg, (failed[None], noise[None]), domain, counter)[0])
 
 
 def matrix_element_oracle(
     vectors: np.ndarray,
-    k: int,
-    l: int,
+    k,
+    l,
     gamma: float,
     delta: float,
     rng: np.random.Generator,
     counter: QueryCounter | None = None,
-) -> float:
-    """One gamma-approximate draw of the median-covariance entry (k, l).
+):
+    """Gamma-approximate draws of the median-covariance entries (k, l).
 
     `vectors` is the (count, D) array of row vectors x_j; the inner
-    products e_k^T x_j are its columns, read exactly.  Composes three
-    binary-search medians (column k, column l, deviation products), each
-    with CDF Lipschitz constant 2.  The emitted value is within gamma of the
-    exact entry with probability >= 1 - delta, up to the discreteness of the
-    empirical distribution (the analysis assumes a Lipschitz inverse CDF).
+    products e_k^T x_j are its columns, read exactly.  k and l are indices
+    or index arrays, broadcast together; the result has their shape.  Each
+    entry composes three binary-search medians (column k, column l,
+    deviation products), each with CDF Lipschitz constant 2.  The emitted
+    value is within gamma of the exact entry with probability >= 1 - delta,
+    up to the discreteness of the empirical distribution (the analysis
+    assumes a Lipschitz inverse CDF).
+
+    The entries take their randomness from rng in (flattened) order, each
+    its three medians' readouts in turn, as one call per entry would; the
+    searches themselves run in three lockstep phases over all entries.
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
@@ -209,7 +292,11 @@ def matrix_element_oracle(
     ips = np.asarray(vectors, dtype=np.float64)
     if ips.ndim != 2:
         raise ValueError("expected a 2-D array of row vectors")
-    if not (0 <= k < ips.shape[1] and 0 <= l < ips.shape[1]):
+    k, l = np.broadcast_arrays(k, l)
+    shape = k.shape
+    k, l = k.ravel(), l.ravel()
+    dim = ips.shape[1]
+    if np.any((k < 0) | (k >= dim) | (l < 0) | (l >= dim)):
         raise ValueError("index out of range")
     # value-domain budget: column-median errors e feed the products with a
     # factor <= 2 each (deviations are bounded by 2), the final search adds
@@ -224,8 +311,17 @@ def matrix_element_oracle(
     cfg_prod = MedianSearchConfig(epsilon=eps_prod, epsilon_prime=eps_prod / 8.0,
                                   delta0=delta0)
 
-    med_k = quantum_median(ips[:, k], cfg_col, rng, counter=counter)
-    med_l = quantum_median(ips[:, l], cfg_col, rng, counter=counter)
-    prods = (ips[:, k] - med_k) * (ips[:, l] - med_l)
+    # per entry: the readouts of the column-k, column-l and product medians
+    p_col = cfg_col.p_max
+    block = 2 * p_col + cfg_prod.p_max
+    failed, noise = statevec.ae_draws(len(k) * block, delta0, rng)
+    failed, noise = failed.reshape(len(k), block), noise.reshape(len(k), block)
+    phases = (slice(0, p_col), slice(p_col, 2 * p_col), slice(2 * p_col, None))
+    draws = [(failed[:, s], noise[:, s]) for s in phases]
+
+    cols = ips.T
+    med_k = _noisy_medians(cols[k], cfg_col, draws[0], (-1.0, 1.0), counter)
+    med_l = _noisy_medians(cols[l], cfg_col, draws[1], (-1.0, 1.0), counter)
+    prods = (cols[k] - med_k[:, None]) * (cols[l] - med_l[:, None])
     # products of two deviations bounded by 2 each lie in [-4, 4]
-    return quantum_median(prods, cfg_prod, rng, domain=(-4.0, 4.0), counter=counter)
+    return _noisy_medians(prods, cfg_prod, draws[2], (-4.0, 4.0), counter).reshape(shape)[()]

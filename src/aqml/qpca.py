@@ -105,6 +105,8 @@ def build_matrix(
     block (N x N for N_v >= 3), not the zero-padded embedded matrix.  The
     quantum mode draws every one of the D^2 embedded entries: the oracle's
     per-entry noise on the zero block is part of the simulated algorithm.
+    The entries are drawn in row-major order by one matrix_element_oracle
+    call, which runs their binary searches in lockstep.
     """
     if mode == "exact-median":
         if isinstance(data, embedding.RawDataset):
@@ -117,12 +119,10 @@ def build_matrix(
     if isinstance(data, embedding.RawDataset):
         data = embedding.embed(data)
     dim = data.vectors.shape[1]
-    M = np.zeros((dim, dim))
-    for k in range(dim):
-        for l in range(dim):
-            M[k, l] = median_oracle.matrix_element_oracle(
-                data.vectors, k, l, gamma=gamma, delta=delta, rng=rng, counter=counter
-            )
+    k, l = np.divmod(np.arange(dim * dim), dim)  # row-major
+    M = median_oracle.matrix_element_oracle(
+        data.vectors, k, l, gamma=gamma, delta=delta, rng=rng, counter=counter
+    ).reshape(dim, dim)
     return (M + M.T) / 2
 
 

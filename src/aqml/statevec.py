@@ -164,6 +164,15 @@ def ae_query_charge(epsilon0: float, delta0: float) -> int:
     return int(math.ceil(AE_COST_CONSTANT / (epsilon0 * max(delta0, _DELTA_FLOOR))))
 
 
+def check_ae_precision(epsilon0: float, delta0: float) -> None:
+    """Reject a precision or failure probability outside the contract's
+    ranges."""
+    if not 0.0 < epsilon0 < 1.0:
+        raise ValueError("epsilon0 must lie in (0, 1)")
+    if not 0.0 <= delta0 < 1.0:
+        raise ValueError("delta0 must lie in [0, 1)")
+
+
 def amplitude_estimate(
     success_prob: float,
     epsilon0: float,
@@ -181,16 +190,60 @@ def amplitude_estimate(
     """
     if not 0.0 <= success_prob <= 1.0:
         raise ValueError("success_prob must lie in [0, 1]")
-    if not 0.0 < epsilon0 < 1.0:
-        raise ValueError("epsilon0 must lie in (0, 1)")
-    if not 0.0 <= delta0 < 1.0:
-        raise ValueError("delta0 must lie in [0, 1)")
+    check_ae_precision(epsilon0, delta0)
     if counter is not None:
         counter.charge("amplitude_estimation", ae_query_charge(epsilon0, delta0))
     if delta0 > 0.0 and rng.random() < delta0:
         return 0.0 if success_prob > 0.5 else 1.0
     value = success_prob + epsilon0 * (2.0 * rng.random() - 1.0)
     return float(min(1.0, max(0.0, value)))
+
+
+def ae_draws(count: int, delta0: float, rng: np.random.Generator) -> tuple:
+    """The randomness of `count` amplitude_estimate calls made one after
+    another, drawn ahead of the values they read out.
+
+    Each call takes a failure test u < delta0 (none when delta0 = 0) and,
+    if the test passes, one noise draw.  Neither depends on the success
+    probability, so (failed, noise) arrays can be taken from rng in the
+    calls' order; rng ends in the state the calls leave it in.  noise is 0
+    where failed.
+    """
+    failed = np.zeros(count, dtype=bool)
+    noise = np.zeros(count)
+    if delta0 <= 0.0:
+        noise[:] = rng.random(count)
+        return failed, noise
+    done = 0
+    while done < count:
+        # every remaining call takes at least one draw, so none is wasted
+        buf = rng.random(count - done)
+        pos = 0  # offset of the next failure test in buf
+        for c in np.flatnonzero(buf < delta0):
+            if (c - pos) % 2:
+                continue  # a noise draw, not a test
+            passed = (c - pos) // 2
+            noise[done:done + passed] = buf[pos + 1:c:2]
+            failed[done + passed] = True
+            done += passed + 1
+            pos = c + 1
+        passed = (len(buf) - pos) // 2
+        noise[done:done + passed] = buf[pos + 1:pos + 2 * passed:2]
+        done += passed
+        if (len(buf) - pos) % 2:
+            # the last draw was a passed test whose noise is still to come
+            noise[done] = rng.random()
+            done += 1
+    return failed, noise
+
+
+def ae_readout(success_prob: np.ndarray, epsilon0: float, failed: np.ndarray,
+               noise: np.ndarray) -> np.ndarray:
+    """amplitude_estimate on arrays, with its randomness drawn beforehand
+    by ae_draws: success_prob + epsilon0 (2 noise - 1) clipped to [0, 1],
+    or, where failed, the end point of [0, 1] farthest from success_prob."""
+    value = np.minimum(1.0, np.maximum(0.0, success_prob + epsilon0 * (2.0 * noise - 1.0)))
+    return np.where(failed, np.where(success_prob > 0.5, 0.0, 1.0), value)
 
 
 def grover_iterate(success_prob: float) -> np.ndarray:

@@ -118,14 +118,25 @@ def test_qpca_unresolved_column(tmp_path, capsys, payload, flag):
     assert first == [flag] * 3
 
 
-def test_runner_crash_exits_3(tmp_path, capsys):
-    # two points leave every bootstrap resample a coin flip between classes,
-    # so 3000 classifiers exhaust the redraws: an internal error, not exit 1
+def test_runner_crash_exits_3(tmp_path, capsys, monkeypatch):
+    # an exception from a runner is an internal error, not exit 1
+    def crash(*args, **kwargs):
+        raise RuntimeError("runner crashed")
+
+    monkeypatch.setitem(cli._RUNNERS, "boost", crash)
+    rc = cli.main(["boost", "--seed", "0", "--out", str(tmp_path)])
+    assert rc == 3
+    assert "internal error: RuntimeError" in capsys.readouterr().err
+
+
+def test_boost_two_points_redraws_single_class_resamples(tmp_path, capsys):
+    # two points make every bootstrap resample a coin flip between one and
+    # two classes; single-class resamples are drawn again, never a crash
     cfg = write_cfg(tmp_path, "b.json",
                     {"n_points": 2, "n_classifiers": 3000, "seeds": 1})
     rc = cli.main(["boost", "--config", cfg, "--seed", "0", "--out", str(tmp_path)])
-    assert rc == 3
-    assert "internal error: RuntimeError" in capsys.readouterr().err
+    assert rc in (0, 1)
+    assert "internal error" not in capsys.readouterr().err
 
 
 def test_verify_subcommand_passes(tmp_path, capsys):

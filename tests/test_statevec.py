@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aqml import statevec
@@ -135,6 +135,22 @@ def test_amplitude_estimate_query_charge():
         0.5, epsilon0=0.1, delta0=0.01, rng=stream(0, "sv", "q"), counter=counter
     )
     assert counter.charges["amplitude_estimation"] == math.ceil(8 / (0.1 * 0.01))
+
+
+@settings(max_examples=100, deadline=None)
+@given(probs=st.lists(st.sampled_from([0.0, 0.3, 0.5, 0.5 + 1e-12, 0.7, 1.0]), max_size=60),
+       delta0=st.one_of(st.sampled_from([0.0, 1e-3, 0.5, 0.9]), st.floats(0.0, 0.99)),
+       seed=st.integers(0, 2**32 - 1))
+def test_drawn_readouts_match_sequential_calls(probs, delta0, seed):
+    # drawing ahead and reading out on arrays gives the values, and leaves
+    # the generator in the state, of one amplitude_estimate call per entry
+    rng, ahead = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = [statevec.amplitude_estimate(p, epsilon0=0.01, delta0=delta0, rng=rng)
+            for p in probs]
+    failed, noise = statevec.ae_draws(len(probs), delta0, ahead)
+    got = statevec.ae_readout(np.array(probs, dtype=np.float64), 0.01, failed, noise)
+    assert got.tolist() == want
+    assert ahead.bit_generator.state == rng.bit_generator.state
 
 
 def test_amplitude_estimate_circuit_contract():
