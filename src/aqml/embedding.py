@@ -223,8 +223,11 @@ class DistributionSpec:
     Lipschitz constant L.
 
     `inverse_cdf` maps an array of u to the array of Q(u), elementwise (a
-    numpy expression in u); it is also called on a single float.  The
-    Lipschitz bound is checked on a 1001-point grid at construction.
+    numpy expression in u).  median_stability_check evaluates it on arrays
+    only, because scalar float arithmetic may round differently from numpy's
+    array loops (`x ** 3` does), and relies on Q being nondecreasing, as an
+    inverse CDF is.  Monotonicity and the Lipschitz bound are checked on a
+    1001-point grid at construction.
     """
 
     inverse_cdf: callable
@@ -235,7 +238,9 @@ class DistributionSpec:
         if self.lipschitz <= 0:
             raise ValueError("Lipschitz constant must be positive")
         grid = np.linspace(0.0, 1.0, 1001)
-        steps = np.abs(np.diff(self.inverse_cdf(grid)))
+        steps = np.diff(self.inverse_cdf(grid))
+        if np.any(steps < 0):
+            raise ValueError("inverse CDF decreases on [0, 1]")
         if np.any(steps > self.lipschitz * (grid[1] - grid[0]) + 1e-9):
             raise ValueError("inverse CDF violates the declared Lipschitz bound")
 
@@ -258,6 +263,27 @@ def cubic_dist() -> DistributionSpec:
     return DistributionSpec(lambda u: (2.0 * u - 1.0) ** 3, 6.0, "cubic")
 
 
+def _middle_order_statistics(u: np.ndarray, shift: int) -> np.ndarray:
+    """The middle one (odd n) or two (even n) values of sorted(u), ascending.
+
+    `shift` entries of u below the median were moved to the top, so the
+    middle ranks h = (n - 1) // 2 and n // 2 sit near the (h + shift) / n
+    quantile of the uniform draws.  Only the entries within 8 / sqrt(n) of
+    it are partitioned; when the counts show the ranks outside that window,
+    the whole array is.
+    """
+    n = u.size
+    ranks = [(n - 1) // 2, n // 2] if n % 2 == 0 else [n // 2]
+    center, half = (ranks[0] + shift) / n, 8.0 / math.sqrt(n)
+    below = u < center - half
+    inside = u < center + half
+    offset = int(np.count_nonzero(below))
+    if offset <= ranks[0] and ranks[-1] < np.count_nonzero(inside):
+        local = [r - offset for r in ranks]
+        return np.partition(u.compress(inside & ~below), local)[local]
+    return np.partition(u, ranks)[ranks]
+
+
 def median_stability_check(
     dist: DistributionSpec,
     alpha: float,
@@ -271,27 +297,34 @@ def median_stability_check(
     The contamination moves an alpha mass from below the median to the upper
     end point Q(1) (one-sided placement, which saturates the bound).  Returns
     measured shifts and the bound with sampling slack.
+
+    Both medians are taken on the uniform draws u: Q is nondecreasing, so
+    the median of Q(u) is the mean of Q at the middle order statistics of u,
+    and Q runs on those one or two values only.
     """
     if not 0.0 <= alpha < 0.5:
         raise ValueError("alpha must lie in [0, 1/2)")
+    if trials < 1 or n_samples < 1:
+        raise ValueError("trials and n_samples must be at least 1")
     if rng is None:
         rng = np.random.default_rng(0)
     L = dist.lipschitz
     slack = 3.0 * L / (2.0 * math.sqrt(n_samples))
     bound = alpha * L + slack
+    n_poison = int(math.floor(alpha * n_samples))
     shifts = []
     for _ in range(trials):
         u = rng.random(n_samples)
-        clean = dist.inverse_cdf(u)
-        n_poison = int(math.floor(alpha * n_samples))
-        poisoned = clean.copy()
-        if n_poison:
-            # worst placement: move an alpha mass from below the median to the
-            # top, pushing the median to the (1/2 + alpha) quantile
-            low = np.flatnonzero(u < 0.5)[:n_poison]
-            poisoned[low] = dist.inverse_cdf(1.0)
-        shift = abs(np.median(poisoned) - np.median(clean))
-        shifts.append(float(shift))
+        poisoned = u.copy()
+        # worst placement: move an alpha mass from below the median to the
+        # top, pushing the median to the (1/2 + alpha) quantile; u < 1, so
+        # the moved entries never reach the middle ranks
+        low = np.flatnonzero(u < 0.5)[:n_poison]
+        poisoned[low] = 1.0
+        clean_median = np.mean(dist.inverse_cdf(_middle_order_statistics(u, 0)))
+        poisoned_median = np.mean(
+            dist.inverse_cdf(_middle_order_statistics(poisoned, low.size)))
+        shifts.append(float(abs(poisoned_median - clean_median)))
     shifts = np.array(shifts)
     return {
         "distribution": dist.name,

@@ -141,7 +141,6 @@ def _lockstep_search(readout, lanes: int, cfg: MedianSearchConfig, domain: tuple
 def binary_search_median(
     cdf_oracle,
     cfg: MedianSearchConfig,
-    rng: np.random.Generator,
     domain: tuple = (-1.0, 1.0),
     counter: QueryCounter | None = None,
 ) -> MedianSearchResult:

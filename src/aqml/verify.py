@@ -40,9 +40,7 @@ def _check_median_budget(rng):
 def _check_binary_search(rng):
     samples = rng.uniform(-1.0, 1.0, 4001)
     cfg = median_oracle.MedianSearchConfig(epsilon=0.05, epsilon_prime=0.01, lipschitz=2.0)
-    res = median_oracle.binary_search_median(
-        median_oracle.exact_cdf_oracle(samples), cfg, rng
-    )
+    res = median_oracle.binary_search_median(median_oracle.exact_cdf_oracle(samples), cfg)
     err = abs(res.value - float(np.median(samples)))
     tol = 2.0 * (2.0 ** (-cfg.p_max - 1) + (cfg.epsilon_prime + 2.0 * cfg.epsilon0) * (1 - 2.0 ** (-cfg.p_max)))
     return err <= tol, f"median error {err:.4f} vs budget {tol:.4f}"

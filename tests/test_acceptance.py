@@ -120,7 +120,7 @@ def test_criterion_04_binary_search_median():
     for trial in range(200):
         vals = np.sort(rng.uniform(-1, 1, 999))
         med = float(np.median(vals))
-        res = mo.binary_search_median(mo.exact_cdf_oracle(vals), cfg, rng)
+        res = mo.binary_search_median(mo.exact_cdf_oracle(vals), cfg)
         for p in range(1, cfg.p_max + 1):
             est = res.trace[p][0] if p < cfg.p_max else (res.value + 1.0) / 2.0
             err = abs((-1.0 + 2.0 * est) - med) / 2.0
@@ -136,7 +136,7 @@ def test_criterion_04_binary_search_median():
     runs, fails = 10**4, 0
     for _ in range(runs):
         oracle = mo.noisy_cdf_oracle(vals, ncfg, rng)
-        res = mo.binary_search_median(oracle, ncfg, rng)
+        res = mo.binary_search_median(oracle, ncfg)
         if abs(res.value - med) > tol + 1e-9:
             fails += 1
     budget = ncfg.p_max * ncfg.delta0

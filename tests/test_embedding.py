@@ -1,8 +1,12 @@
 """Isometry embedding, median statistics, robust and classical PCA
 matrices, contamination model."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from aqml import embedding
 from aqml.util import stream
@@ -217,3 +221,87 @@ def test_median_stability_saturates():
 def test_distribution_spec_rejects_lipschitz_violation():
     with pytest.raises(ValueError):
         embedding.DistributionSpec(lambda u: np.tan(3.0 * (u - 0.5)), 1.0)
+
+
+def test_distribution_spec_rejects_decreasing_inverse_cdf():
+    with pytest.raises(ValueError, match="decreases"):
+        embedding.DistributionSpec(lambda u: 1 - 2 * u, 2.0)
+
+
+@pytest.mark.parametrize("trials, n_samples", [(0, 10), (-1, 10), (3, 0), (3, -5)])
+def test_median_stability_rejects_empty_runs(trials, n_samples):
+    with pytest.raises(ValueError, match="at least 1"):
+        embedding.median_stability_check(embedding.uniform_dist(), 0.1, trials, n_samples)
+
+
+def _full_array_stability(dist, alpha, trials, n_samples, rng):
+    """(max_shift, mean_shift, ok) the direct way: Q on every draw and
+    np.median of the clean and the poisoned sample."""
+    L = dist.lipschitz
+    bound = alpha * L + 3.0 * L / (2.0 * math.sqrt(n_samples))
+    shifts = []
+    for _ in range(trials):
+        u = rng.random(n_samples)
+        clean = dist.inverse_cdf(u)
+        n_poison = int(math.floor(alpha * n_samples))
+        poisoned = clean.copy()
+        if n_poison:
+            low = np.flatnonzero(u < 0.5)[:n_poison]
+            poisoned[low] = dist.inverse_cdf(1.0)
+        shifts.append(float(abs(np.median(poisoned) - np.median(clean))))
+    shifts = np.array(shifts)
+    return float(shifts.max()), float(shifts.mean()), bool(np.all(shifts <= bound))
+
+
+_FAMILIES = [embedding.uniform_dist(), embedding.sine_dist(), embedding.cubic_dist()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(dist=st.sampled_from(_FAMILIES),
+       # small alphas give floor(alpha n) = 0 at small n
+       alpha=st.one_of(st.just(0.0), st.floats(0.0, 0.5, exclude_max=True),
+                       st.floats(0.0, 1e-3)),
+       n=st.integers(1, 2000), trials=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+@example(dist=_FAMILIES[0], alpha=0.2, n=10**5, trials=1, seed=0)
+@example(dist=_FAMILIES[1], alpha=0.05, n=10**5, trials=1, seed=1)
+@example(dist=_FAMILIES[2], alpha=0.1, n=10**5, trials=2, seed=2)
+@example(dist=_FAMILIES[2], alpha=0.0, n=10**5 + 1, trials=1, seed=3)
+def test_median_stability_matches_full_array_medians(dist, alpha, n, trials, seed):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    rep = embedding.median_stability_check(dist, alpha, trials, n, rng=rng)
+    assert (rep["max_shift"], rep["mean_shift"], rep["ok"]) == _full_array_stability(
+        dist, alpha, trials, n, ref_rng)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def _middle(x):
+    ranks = [(x.size - 1) // 2, x.size // 2]
+    return np.partition(x, ranks)[sorted(set(ranks))]
+
+
+@pytest.mark.parametrize("n", [1, 2, 999, 1000])
+@pytest.mark.parametrize("make", [
+    lambda rng, n: rng.uniform(0.9, 1.0, n),  # window at 1/2 is empty
+    lambda rng, n: rng.uniform(0.0, 0.1, n),  # every entry below the window
+    lambda rng, n: np.full(n, 0.5),
+    lambda rng, n: np.zeros(n),
+    lambda rng, n: np.where(rng.random(n) < 0.5, 0.0, 0.99),
+    lambda rng, n: rng.random(n) ** 6,
+    # the window holds all but the top middle rank, or all but the bottom one
+    lambda rng, n: np.repeat([0.5, 0.9], [n // 2, n - n // 2]),
+    lambda rng, n: np.repeat([0.1, 0.5], [n - n // 2, n // 2]),
+])
+@pytest.mark.parametrize("shift", [0, 1, 7])
+def test_middle_order_statistics_skewed(n, make, shift):
+    x = make(stream(n, "emb", "mos"), n)
+    assert np.array_equal(embedding._middle_order_statistics(x, shift), _middle(x))
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.5, 1.0])),
+                       min_size=1, max_size=300),
+       shift=st.integers(0, 300))
+def test_middle_order_statistics_any_values(values, shift):
+    x = np.array(values)
+    assert np.array_equal(embedding._middle_order_statistics(x, shift), _middle(x))

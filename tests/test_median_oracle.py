@@ -42,7 +42,7 @@ def test_config_invariants():
 def test_point_mass_median():
     cfg = mo.MedianSearchConfig(epsilon=0.05, epsilon_prime=0.0, lipschitz=1.0)
     oracle = mo.exact_cdf_oracle(np.full(101, 0.3))
-    res = mo.binary_search_median(oracle, cfg, stream(0, "mo", "pm"))
+    res = mo.binary_search_median(oracle, cfg)
     # the point-mass error is half the final normalized interval on [-1, 1]
     assert abs(res.value - 0.3) <= 2.0 * cfg.epsilon
 
@@ -51,9 +51,7 @@ def test_uniform_median_exact_oracle():
     cfg = mo.MedianSearchConfig(epsilon=0.01, epsilon_prime=0.002, lipschitz=1.0)
     u = np.sort(stream(0, "mo", "uni").random(200001))
     oracle = mo.exact_cdf_oracle(u)
-    res = mo.binary_search_median(
-        oracle, cfg, stream(1, "mo", "uni"), domain=(0.0, 1.0)
-    )
+    res = mo.binary_search_median(oracle, cfg, domain=(0.0, 1.0))
     assert 0.49 <= res.value <= 0.51
 
 
@@ -67,7 +65,7 @@ def test_geometric_error_closed_form():
         vals = np.sort(rng.uniform(-1, 1, 999))
         true_med = float(np.median(vals))
         oracle = mo.exact_cdf_oracle(vals)
-        res = mo.binary_search_median(oracle, cfg, rng)
+        res = mo.binary_search_median(oracle, cfg)
         # the trace midpoint at step p+1 is the estimate after p steps
         for p in range(1, cfg.p_max + 1):
             if p < cfg.p_max:
@@ -91,7 +89,7 @@ def test_noisy_failure_accounting():
     rng = stream(0, "mo", "fail")
     for _ in range(runs):
         oracle = mo.noisy_cdf_oracle(vals, cfg, rng)
-        res = mo.binary_search_median(oracle, cfg, rng)
+        res = mo.binary_search_median(oracle, cfg)
         if abs(res.value - true_med) > tol + 1e-9:
             fails += 1
     budget = cfg.p_max * cfg.delta0
@@ -313,7 +311,7 @@ def test_quantum_median_matches_reference(values, cfg, seed):
 def test_binary_search_median_matches_reference(values, cfg, seed):
     # same callable noisy oracle on both sides: trace and value agree
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    res = mo.binary_search_median(mo.noisy_cdf_oracle(values, cfg, rng), cfg, rng)
+    res = mo.binary_search_median(mo.noisy_cdf_oracle(values, cfg, rng), cfg)
     want, trace = _ref_search(mo.noisy_cdf_oracle(values, cfg, ref_rng), cfg,
                               (-1.0, 1.0), QueryCounter())
     assert res.value == want
@@ -335,7 +333,7 @@ def test_interval_invariants_for_any_readouts(cfg, data):
     answers = data.draw(st.lists(st.one_of(st.sampled_from(edges), st.floats(0.0, 1.0)),
                                  min_size=cfg.p_max, max_size=cfg.p_max))
     replies = iter(answers)
-    res = mo.binary_search_median(lambda y: next(replies), cfg, None)
+    res = mo.binary_search_median(lambda y: next(replies), cfg)
     assert len(res.intervals) == len(res.trace) == cfg.p_max
     previous = (0.0, 1.0)
     for (left, right), (mid, _) in zip(res.intervals, res.trace):
@@ -359,7 +357,7 @@ def test_noiseless_error_bound_every_step(cfg, n, a, width, point_mass):
     values = np.full(2 * n + 1, a) if point_mass else np.linspace(a, b, 2 * n + 1)
     true_med = (float(np.median(values)) + 1.0) / 2.0
     widen = cfg.epsilon_prime + cfg.lipschitz * cfg.epsilon0
-    res = mo.binary_search_median(mo.exact_cdf_oracle(values), cfg, None)
+    res = mo.binary_search_median(mo.exact_cdf_oracle(values), cfg)
     for p, (left, right) in enumerate(res.intervals, start=1):
         bound = 2.0 ** (-p - 1) + widen * (1.0 - 2.0**-p)
         assert left - 1e-12 <= true_med <= right + 1e-12
