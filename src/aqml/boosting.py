@@ -62,6 +62,10 @@ def ensemble_operator(spec: EnsembleSpec) -> np.ndarray:
     return C
 
 
+# bootstrap resamples fitted per batch: about 2^20 gathered feature values
+_BOOTSTRAP_BATCH_VALUES = 2**20
+
+
 def train_bootstrap_ensemble(
     vectors: np.ndarray,
     labels: np.ndarray,
@@ -71,30 +75,48 @@ def train_bootstrap_ensemble(
     """Bootstrap-resample the labeled data `count` times and fit one
     mean-difference hyperplane (normal mu+ - mu-, midpoint offset folded
     into the lifted coordinate) per resample; uniform ensemble weights.
-    A resample that comes out single-class is drawn again."""
+    A resample that comes out single-class is drawn again.
+
+    Resamples are drawn as rows of (rows, n) `integers` calls, never more
+    rows than two-class resamples are still missing; the generator's
+    stream is continuous across calls, so this draws the numbers, and
+    leaves the generator in the state, of one size-n call per resample and
+    redraw.
+    """
     X = np.asarray(vectors, dtype=np.float64)
     y = np.asarray(labels)
     if X.ndim != 2 or len(y) != len(X):
         raise ValueError("vectors must be (n, d) with one label per row")
     if len(np.unique(y)) != 2:
         raise ValueError("two-class data required")
-    n = len(X)
-    normals = np.empty((count, X.shape[1] + 1))
-    for i in range(count):
-        # redraw a single-class resample; with both classes in the data this
-        # ends with probability 1
-        while True:
-            idx = rng.integers(0, n, size=n)
-            ys = y[idx]
-            if len(np.unique(ys)) == 2:
-                break
-        Xs = X[idx]
-        mu_plus = Xs[ys == np.max(ys)].mean(axis=0)
-        mu_minus = Xs[ys == np.min(ys)].mean(axis=0)
+    n, dim = X.shape
+    plus = y == np.max(y)
+    # the rows of each class, with the other class's rows zeroed
+    X_split = np.hstack([np.where(plus[:, None], X, 0.0),
+                         np.where(plus[:, None], 0.0, X)])
+    batch = max(1, _BOOTSTRAP_BATCH_VALUES // (n * 2 * max(1, dim)))
+    normals = np.empty((count, dim + 1))
+    done = 0
+    while done < count:
+        idx = rng.integers(0, n, size=(min(count - done, batch), n))
+        n_plus = np.count_nonzero(plus[idx], axis=1)
+        # drop single-class resamples; with both classes in the data the
+        # redraws end with probability 1
+        two_class = (n_plus > 0) & (n_plus < n)
+        idx, n_plus = idx[two_class], n_plus[two_class]
+        # a sum over the leading axis adds the resample's rows in order, as
+        # the mean of one class's rows does; the zeroed rows add nothing
+        sums = X_split[idx.T].sum(axis=0)
+        mu_plus = sums[:, :dim] / n_plus[:, None]
+        mu_minus = sums[:, dim:] / (n - n_plus)[:, None]
         w = mu_plus - mu_minus
         # lift by one affine coordinate so the midpoint offset is part of w
-        normals[i, :-1] = w
-        normals[i, -1] = -float(w @ (mu_plus + mu_minus)) / 2.0
+        rows = slice(done, done + len(idx))
+        normals[rows, :-1] = w
+        # one dot product per row, as w @ (mu_plus + mu_minus) takes it
+        mid = (w[:, None, :] @ (mu_plus + mu_minus)[:, :, None])[:, 0, 0]
+        normals[rows, -1] = -mid / 2.0
+        done += len(idx)
     weights = np.full(count, 1.0 / count)
     if count < 2:
         # degenerate single-member ensemble: duplicate so invariants hold
@@ -116,7 +138,7 @@ class ClassificationResult:
 
 def classify_by_eigenspace(
     psi: np.ndarray,
-    C: np.ndarray,
+    C: np.ndarray | linalg.EigenDecomposition,
     bits: int = 10,
     shots: int | None = None,
     rng: np.random.Generator | None = None,
@@ -125,7 +147,9 @@ def classify_by_eigenspace(
     `ensemble_operator(spec)`, or attacked, `AttackReport.operator`) and
     aggregate sample mass on positive vs negative eigenphase bands; the
     class is the sign of mass_plus - 1/2 with exact ties resolved to +1 and
-    flagged.
+    flagged.  C may also be given as its eigendecomposition
+    (`linalg.eig_hermitian(C)` or `AttackReport.decomposition`), which the
+    phase estimation reads; an operator is decomposed here.
 
     shots = None uses the exact phase-estimation distribution (one coherent
     pass); integer shots draw multinomial samples for re-preparable states.
@@ -133,11 +157,12 @@ def classify_by_eigenspace(
     psi = np.asarray(psi, dtype=np.complex128)
     if abs(np.linalg.norm(psi) - 1.0) > 1e-9:
         raise ValueError("input state must be unit norm")
-    U = np.array(linalg.operator_exp(C, 1.0))
+    dec = C if isinstance(C, linalg.EigenDecomposition) else linalg.eig_hermitian(C)
 
     # eigenvalue E of C maps to phase (-E/2pi) mod 1: positive band is the
     # upper half of the phase circle (phase in (1/2, 1)), negative the lower
-    dist = statevec.phase_estimate_distribution(U, psi, bits)
+    overlaps = np.abs(dec.eigenvectors.conj().T @ psi) ** 2
+    dist = statevec.phase_estimate_distribution(dec.eigenvalues, overlaps, bits)
     n_grid = len(dist)
     phases = np.arange(n_grid) / n_grid
     if shots is not None:
@@ -192,16 +217,31 @@ class AttackSpec:
 @dataclass
 class AttackReport:
     operator: np.ndarray
+    decomposition: linalg.EigenDecomposition  # of `operator`
     norm_shift: float
     eig_shift_max: float
     alpha_used: float
 
 
-def attack_ensemble(spec: EnsembleSpec, attack: AttackSpec) -> AttackReport:
+def attack_ensemble(
+    spec: EnsembleSpec,
+    attack: AttackSpec,
+    C: np.ndarray | None = None,
+    eigenvalues: np.ndarray | None = None,
+) -> AttackReport:
     """Negate the classifiers of a set F holding at most alpha weight mass,
-    C' = C - 2 sum_{j in F} b_j R_j, and report the operator and eigenvalue
-    shifts, asserting both stay within 2 alpha."""
-    C = ensemble_operator(spec)
+    C' = C - 2 sum_{j in F} b_j R_j, and report the operator, its
+    eigendecomposition and the operator and eigenvalue shifts, asserting
+    both stay within 2 alpha.
+
+    C = ensemble_operator(spec) and its ascending eigenvalues are built
+    here unless the caller passes them, as a caller attacking one ensemble
+    at several alphas does.
+    """
+    if C is None:
+        C = ensemble_operator(spec)
+    if eigenvalues is None:
+        eigenvalues = linalg.eig_hermitian(C).eigenvalues
     order = np.argsort(-spec.weights) if not attack.target_indices else list(
         attack.target_indices
     )
@@ -217,13 +257,13 @@ def attack_ensemble(spec: EnsembleSpec, attack: AttackSpec) -> AttackReport:
     norm_shift = linalg.norm(Cp - C, "spectral")
     if norm_shift > 2 * used + 1e-10:
         raise AssertionError("operator shift exceeded 2 alpha")
-    e = linalg.eig_hermitian(C).eigenvalues
-    ep = linalg.eig_hermitian(Cp).eigenvalues
-    eig_shift = float(np.max(np.abs(e - ep)))
+    dec = linalg.eig_hermitian(Cp)
+    eig_shift = float(np.max(np.abs(eigenvalues - dec.eigenvalues)))
     if eig_shift > 2 * used + 1e-10:
         raise AssertionError("eigenvalue shift exceeded 2 alpha")
     return AttackReport(
-        operator=Cp, norm_shift=norm_shift, eig_shift_max=eig_shift, alpha_used=used
+        operator=Cp, decomposition=dec, norm_shift=norm_shift,
+        eig_shift_max=eig_shift, alpha_used=used,
     )
 
 

@@ -86,7 +86,9 @@ _RANGES = {
         "bits": (1, statevec.PHASE_BITS_CAP),
     },
     "kmeans": {
+        "k": (1, math.inf),
         "d": (1, math.inf),
+        "n_participants": (1, math.inf),
         "blob_sigma": (0.0, math.inf),
         "privacy_check_qubits": (1, kmeans.DENSITY_QUBITS_CAP),
     },
@@ -188,18 +190,22 @@ def run_qpca(cfg: dict, seed: int, out_dir: str) -> int:
         raw_vecs *= 0.9 * cfg["norm_bound"] / np.max(np.linalg.norm(raw_vecs, axis=1))
         raw = embedding.RawDataset(raw_vecs, norm_bound=cfg["norm_bound"])
         # the clean matrix and its QPE distribution do not depend on alpha
-        M, null_dim = embedding.robust_pca_core(raw)
+        core = embedding.robust_pca_core(raw)
+        M, null_dim = core
         x = np.zeros(M.shape[0])
         x[0] = 1.0
         spectrum = qpca.qpca_spectrum(
             M, x, bits=cfg["sample_bits"], null_dim=null_dim
         )
-        for alpha in cfg["alphas"]:
-            spec = embedding.ContaminationSpec(
+        specs = [
+            embedding.ContaminationSpec(
                 alpha=alpha, strategy="spike-direction",
                 spike_direction=np.eye(cfg["dim"])[0], seed=s,
             )
-            rep = qpca.poisoning_experiment(raw, spec, L=cfg["lipschitz"])
+            for alpha in cfg["alphas"]
+        ]
+        reports = qpca.poisoning_sweep(raw, specs, L=cfg["lipschitz"], core=core)
+        for alpha, rep in zip(cfg["alphas"], reports):
             samp = qpca.qpca_draw(
                 spectrum, cfg["sample_shots"],
                 stream(seed, "qpca-sample", str(s), str(alpha)),
@@ -233,13 +239,17 @@ def run_boost(cfg: dict, seed: int, out_dir: str) -> int:
         spec = boosting.train_bootstrap_ensemble(X, y, cfg["n_classifiers"], rng)
         v = np.concatenate([X[0], [1.0]])
         psi = v / np.linalg.norm(v)
+        # C is built and decomposed once; every attack reuses both
         C = boosting.ensemble_operator(spec)
-        clean = boosting.classify_by_eigenspace(psi, C, bits=cfg["bits"])
+        dec = linalg.eig_hermitian(C)
+        clean = boosting.classify_by_eigenspace(psi, dec, bits=cfg["bits"])
         mean = boosting.classify_by_mean(psi, C)
         for alpha in cfg["alphas"]:
-            rep = boosting.attack_ensemble(spec, boosting.AttackSpec(alpha=alpha))
+            rep = boosting.attack_ensemble(
+                spec, boosting.AttackSpec(alpha=alpha), C, dec.eigenvalues
+            )
             attacked = boosting.classify_by_eigenspace(
-                psi, rep.operator, bits=cfg["bits"]
+                psi, rep.decomposition, bits=cfg["bits"]
             )
             if rep.eig_shift_max > 2 * rep.alpha_used + 1e-10:
                 status = 1

@@ -247,9 +247,6 @@ class DistributionSpec:
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return self.inverse_cdf(rng.random(size))
 
-    def median(self) -> float:
-        return float(self.inverse_cdf(0.5))
-
 
 def uniform_dist() -> DistributionSpec:
     return DistributionSpec(lambda u: 2.0 * u - 1.0, 2.0, "uniform[-1,1]")

@@ -179,31 +179,34 @@ def qpca_spectrum(
     max_norm = float(np.max(np.abs(M)))
     d_eff = int(np.max(np.sum(np.abs(M) > 1e-12, axis=1))) if max_norm > 0 else 1
     scale = 1.0 if max_norm == 0 else 1.0 / (2.0 * max_norm * d_eff)
-    Ms = M * scale
-    if linalg.norm(Ms, "spectral") >= math.pi:
-        raise ValueError("rescaled matrix norm still >= pi; eigenphases would wrap")
-
     dec = linalg.eig_hermitian(M)
+    if np.max(np.abs(scale * dec.eigenvalues)) >= math.pi:
+        raise ValueError("rescaled matrix norm still >= pi; eigenphases would wrap")
     exact_vals = np.concatenate([dec.eigenvalues, np.zeros(null_dim)])
-    overlaps = np.concatenate(
-        [np.abs(dec.eigenvectors.conj().T @ x) ** 2, np.zeros(null_dim)]
-    )
+    core_overlaps = np.abs(dec.eigenvectors.conj().T @ x) ** 2
+    overlaps = np.concatenate([core_overlaps, np.zeros(null_dim)])
 
+    # QPE of e^{-i M scale} reads the spectrum; the null dimensions carry no
+    # weight and never show in the outcome distribution
     norm_shift = 0.0
     if sim_mode == "exact-exp":
-        U = np.array(linalg.operator_exp(Ms, 1.0))
+        energies, weights = scale * dec.eigenvalues, core_overlaps
     elif sim_mode == "lcu-noisy":
         if rng is None:
             raise ValueError("lcu-noisy mode needs an rng")
         cfg = lcu_cfg if lcu_cfg is not None else lcu.TaylorConfig()
-        rep = lcu.simulate_noisy(lcu.SparseHermitian(Ms), cfg, rng)
+        rep = lcu.simulate_noisy(lcu.SparseHermitian(M * scale), cfg, rng)
         counter.merge(rep.queries)
-        U = lcu.polar_unitary(rep.effective_channel)
+        # the channel's polar unitary is e^{-i H_eff t} for the extracted
+        # generator, with the same eigenvectors
+        noisy = linalg.eig_hermitian(rep.effective_hamiltonian * cfg.time)
+        energies = noisy.eigenvalues
+        weights = np.abs(noisy.eigenvectors.conj().T @ x) ** 2
         # deviation of the realized generator, reported in unscaled units
         norm_shift = rep.deviation_spectral / scale
     else:
         raise ValueError(f"unknown sim_mode {sim_mode!r}")
-    dist = statevec.phase_estimate_distribution(U, x, bits)
+    dist = statevec.phase_estimate_distribution(energies, weights, bits)
 
     # bin each phase to the nearest exact eigenvalue; require bands
     # separated by at least two phase-grid cells to call the run resolved
@@ -213,9 +216,7 @@ def qpca_spectrum(
         min_gap_phase = np.min(np.diff(np.sort(distinct))) * scale
         if min_gap_phase < 2 * (2.0 ** (-bits)) * 2 * math.pi:
             unresolved = True
-    estimates = np.array(
-        [statevec.phase_to_eigenvalue(y / 2**bits, scale) for y in range(len(dist))]
-    )
+    estimates = statevec.phase_to_eigenvalue(np.arange(len(dist)) / 2**bits, scale)
     return QpeSpectrum(
         bins=distinct,
         overlaps=np.bincount(_nearest(distinct, exact_vals), weights=overlaps,
@@ -274,6 +275,48 @@ def qpca_sample(
     return qpca_draw(spectrum, shots, rng)
 
 
+def poisoning_sweep(
+    data: embedding.RawDataset,
+    specs: list,
+    L: float,
+    core: tuple | None = None,
+) -> list:
+    """One poisoning_experiment report per contamination spec, building the
+    clean matrices once: the median core (`core`, the caller's
+    embedding.robust_pca_core(data) if it already has it) and the mean
+    baseline."""
+    for spec in specs:
+        if not (0.0 <= spec.alpha < 0.5):
+            raise ValueError("contamination fraction must satisfy 0 <= alpha < 1/2")
+        if spec.alpha * L > 1.0:
+            raise ValueError("alpha * L must be <= 1 for the stability regime")
+    # both matrices vanish on the same null dimensions, so d and the norm
+    # of M - Mp are those of the embedded matrices
+    M = (core if core is not None else embedding.robust_pca_core(data))[0]
+    d = int(np.max(np.sum(np.abs(M) > 1e-12, axis=1)))
+    # the mean baseline works on the raw vectors: unlike the embedded median
+    # construction it has no norm protection, so a spike at the norm bound
+    # moves it by about alpha R^2
+    C = embedding.classical_pca_matrix(data)
+    reports = []
+    for spec in specs:
+        poisoned_raw = embedding.poison(data, spec)
+        Mp, _ = embedding.robust_pca_core(poisoned_raw)
+        norm = linalg.norm(M - Mp, "spectral")
+        bound = 5.0 * spec.alpha * L * (d + 2)
+        Cp = embedding.classical_pca_matrix(poisoned_raw)
+        reports.append({
+            "norm": norm,
+            "bound": bound,
+            "ok": bool(norm <= bound + 1e-12),
+            "d": d,
+            "alpha": spec.alpha,
+            "L": L,
+            "mean_method_norm": linalg.norm(C - Cp, "spectral"),
+        })
+    return reports
+
+
 def poisoning_experiment(
     data: embedding.RawDataset,
     spec: embedding.ContaminationSpec,
@@ -283,32 +326,7 @@ def poisoning_experiment(
     an alpha fraction of the data, against the 5 alpha L (d+2) spectral
     bound; also reports the same comparison for the mean-based covariance
     matrix, which has no such guarantee."""
-    if not (0.0 <= spec.alpha < 0.5):
-        raise ValueError("contamination fraction must satisfy 0 <= alpha < 1/2")
-    if spec.alpha * L > 1.0:
-        raise ValueError("alpha * L must be <= 1 for the stability regime")
-    poisoned_raw = embedding.poison(data, spec)
-    # both matrices vanish on the same null dimensions, so d and the norm
-    # of M - Mp are those of the embedded matrices
-    M, _ = embedding.robust_pca_core(data)
-    Mp, _ = embedding.robust_pca_core(poisoned_raw)
-    d = int(np.max(np.sum(np.abs(M) > 1e-12, axis=1)))
-    norm = linalg.norm(M - Mp, "spectral")
-    bound = 5.0 * spec.alpha * L * (d + 2)
-    # the mean baseline works on the raw vectors: unlike the embedded median
-    # construction it has no norm protection, so a spike at the norm bound
-    # moves it by about alpha R^2
-    C = embedding.classical_pca_matrix(data)
-    Cp = embedding.classical_pca_matrix(poisoned_raw)
-    return {
-        "norm": norm,
-        "bound": bound,
-        "ok": bool(norm <= bound + 1e-12),
-        "d": d,
-        "alpha": spec.alpha,
-        "L": L,
-        "mean_method_norm": linalg.norm(C - Cp, "spectral"),
-    }
+    return poisoning_sweep(data, [spec], L)[0]
 
 
 # constant of the quadratic remainder allowed in first-order eigenvalue shifts

@@ -1,5 +1,6 @@
 """Small state-vector simulator: gates, the Hadamard-test inner-product
-circuit, phase estimation and the amplitude-estimation contract.
+circuit, the amplitude-estimation contract, and phase estimation read from
+the spectrum of the evolved Hamiltonian.
 
 Qubit 0 is the most significant bit of a basis index, so |10> means qubit 0
 in state 1 and qubit 1 in state 0.
@@ -246,66 +247,76 @@ def ae_readout(success_prob: np.ndarray, epsilon0: float, failed: np.ndarray,
     return np.where(failed, np.where(success_prob > 0.5, 0.0, 1.0), value)
 
 
-def grover_iterate(success_prob: float) -> np.ndarray:
-    """Single-qubit Grover iterate G = A S0 A^dag S_chi for an amplitude
-    sqrt(p); a rotation by 2*theta with sin^2(theta) = p."""
-    theta = math.asin(math.sqrt(success_prob))
-    c, s = math.cos(2 * theta), math.sin(2 * theta)
-    return np.array([[c, -s], [s, c]], dtype=np.complex128)
-
-
 def amplitude_estimate_circuit(success_prob: float, bits: int) -> np.ndarray:
     """Exact outcome distribution of circuit-level amplitude estimation:
     QPE on the Grover iterate applied to A|0>.  Entry y of the result is the
-    probability of reading y, whose estimate is sin^2(pi * y / 2^bits)."""
+    probability of reading y, whose estimate is sin^2(pi * y / 2^bits).
+
+    The Grover iterate is the rotation by 2 theta, sin^2(theta) = p, which is
+    e^{-i 2 theta sigma_y}; A|0> = (cos theta, sin theta) has overlap 1/2
+    with each eigenvector (1, +-i)/sqrt(2) of sigma_y.
+    """
     theta = math.asin(math.sqrt(success_prob))
-    amp = np.array([math.cos(theta), math.sin(theta)], dtype=np.complex128)
-    result = phase_estimate_distribution(grover_iterate(success_prob), amp, bits)
-    return result
+    return phase_estimate_distribution(np.array([2 * theta, -2 * theta]),
+                                       np.array([0.5, 0.5]), bits)
 
 
-def phase_estimate_distribution(U, psi, bits: int) -> np.ndarray:
-    """Exact outcome distribution of textbook QPE by state-vector simulation.
+# eigenvalues transformed per FFT batch, so a batch holds at most this many
+# complex entries or one row of 2^bits
+_QPE_BATCH_ENTRIES = 2**16
 
-    Simulates the circuit: `bits` control qubits in |+>, controlled-U^(2^m)
-    powers, inverse QFT on the control register (applied as the DFT along
-    the control axis, which is the same unitary).  Entry y is the
-    probability of reading the phase y / 2^bits.
+
+def phase_estimate_distribution(energies, weights, bits: int) -> np.ndarray:
+    """Exact outcome distribution of textbook QPE on U = e^{-iH}, read from
+    the spectrum of H.
+
+    energies[k] is an eigenvalue E_k of H and weights[k] = |<v_k|psi>|^2 the
+    input state's mass on its eigenvector.  The circuit (`bits` controls in
+    |+>, controlled-U^(2^m) powers, inverse QFT on the controls) leaves
+    sum_x |x> U^x |psi> / sqrt(N), N = 2^bits, before the QFT, so entry y,
+    the probability of reading the phase y / N, is
+
+        P(y) = sum_k w_k |N^-1 sum_x e^{-i x E_k} e^{-2 pi i x y / N}|^2,
+
+    one length-N FFT per eigenvalue of nonzero weight.  As the controlled
+    powers do, the factors e^{-i x E} are built by doubling: x < 2^(m+1)
+    from x - 2^m and e^{-i E 2^m}, whose argument E 2^m is exact.
     """
     if bits < 1 or bits > PHASE_BITS_CAP:
         raise ValueError(f"bits must be in [1, {PHASE_BITS_CAP}]")
-    U = np.asarray(U, dtype=np.complex128)
-    psi = np.asarray(psi, dtype=np.complex128)
-    dim = len(psi)
-    if U.shape != (dim, dim):
-        raise ValueError("U and psi dimensions disagree")
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
-        raise ValueError("psi must be normalized")
-    if np.max(np.abs(U @ U.conj().T - np.eye(dim))) > 1e-9:
-        raise ValueError("U is not unitary")
-
-    n_ctrl = 2**bits
-    # joint state, control register as the leading axis, all controls in |+>
-    joint = np.tile(psi, (n_ctrl, 1)) / math.sqrt(n_ctrl)
-    U_pow = U
-    for m in range(bits):  # controlled-U^(2^m) on control bit of weight 2^m
-        rows = np.arange(n_ctrl) & (1 << m) != 0
-        joint[rows] = joint[rows] @ U_pow.T
-        if m + 1 < bits:
-            U_pow = U_pow @ U_pow
-    # inverse QFT on the control register: y-amplitudes sum_x e^{-2pi i xy/N}
-    joint = np.fft.fft(joint, axis=0) / math.sqrt(n_ctrl)
-    dist = np.sum(np.abs(joint) ** 2, axis=1)
+    E = np.asarray(energies, dtype=np.float64)
+    w = np.asarray(weights, dtype=np.float64)
+    if E.ndim != 1 or w.shape != E.shape:
+        raise ValueError("energies and weights must be 1-D with one weight each")
+    if not np.all(np.isfinite(E)):
+        raise ValueError("energies must be finite")
+    if np.any(w < 0) or abs(np.sum(w) - 1.0) > 1e-9:
+        raise ValueError("weights must be nonnegative and sum to 1")
+    keep = w > 0
+    E, w = E[keep], w[keep]
+    n = 2**bits
+    batch = max(1, _QPE_BATCH_ENTRIES // n)
+    dist = np.zeros(n)
+    for i in range(0, len(E), batch):
+        doubling = np.exp(-1j * np.multiply.outer(E[i:i + batch],
+                                                  2.0 ** np.arange(bits)))
+        factors = np.empty((len(doubling), n), dtype=np.complex128)
+        factors[:, 0] = 1.0
+        for m in range(bits):
+            np.multiply(factors[:, :2**m], doubling[:, m:m + 1],
+                        out=factors[:, 2**m:2**(m + 1)])
+        # |FFT|^2 is N^2 P_k(y); the normalization below divides N^2 out
+        amp = np.fft.fft(factors, axis=1)
+        dist += w[i:i + batch] @ (amp.real**2 + amp.imag**2)
     return dist / np.sum(dist)
 
 
-def phase_to_eigenvalue(phase: float, scale: float = 1.0) -> float:
-    """Recover the H-eigenvalue from a QPE phase of U = e^{-iH}.
+def phase_to_eigenvalue(phase, scale: float = 1.0):
+    """Recover the H-eigenvalue from a QPE phase of U = e^{-iH}, elementwise
+    over an array of phases.
 
     The eigenphase phi in [0, 1) satisfies e^{-iE} = e^{2 pi i phi}; E is
     -2*pi*phi wrapped to (-pi, pi], then divided by `scale`.
     """
-    E = -2.0 * math.pi * phase
-    while E <= -math.pi:
-        E += 2.0 * math.pi
-    return E / scale
+    E = -2.0 * math.pi * np.asarray(phase, dtype=np.float64)
+    return np.where(E <= -math.pi, E + 2.0 * math.pi, E) / scale

@@ -190,6 +190,78 @@ def test_bootstrap_training_basics():
     assert 0.25 <= float(np.mean(excluded)) <= 0.5
 
 
+def bootstrap_loop(X, y, count, rng):
+    """Reference: one size-n draw per resample, redrawn while single-class,
+    and the class means of the selected rows."""
+    n = len(X)
+    normals = np.empty((count, X.shape[1] + 1))
+    for i in range(count):
+        while True:
+            idx = rng.integers(0, n, size=n)
+            ys = y[idx]
+            if len(np.unique(ys)) == 2:
+                break
+        Xs = X[idx]
+        mu_plus = Xs[ys == np.max(ys)].mean(axis=0)
+        mu_minus = Xs[ys == np.min(ys)].mean(axis=0)
+        w = mu_plus - mu_minus
+        normals[i, :-1] = w
+        normals[i, -1] = -float(w @ (mu_plus + mu_minus)) / 2.0
+    return normals
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(2, 30),
+    dim=st.integers(1, 6),
+    count=st.integers(2, 60),
+    labels=st.sampled_from([(-1, 1), (0, 1), (7, 3)]),
+    batch_values=st.sampled_from([1, 50, 2**20]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_bootstrap_matches_per_resample_draws(
+    n, dim, count, labels, batch_values, seed
+):
+    # small n makes single-class resamples (redraws) common; a small batch
+    # budget splits the draw into many calls
+    data = np.random.default_rng([seed, 0])
+    X = data.normal(size=(n, dim)) * 10.0 ** data.uniform(-2, 2, size=(n, 1))
+    y = np.array([labels[0], labels[1]] + list(data.choice(labels, n - 2)))
+    ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = bootstrap_loop(X, y, count, ref_rng)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(boosting, "_BOOTSTRAP_BATCH_VALUES", batch_values)
+        spec = boosting.train_bootstrap_ensemble(X, y, count, rng)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    if dim > 1:
+        # the per-resample mean of a (rows, dim) block adds rows in order
+        assert np.array_equal(spec.normals, want)
+    else:
+        # numpy sums a single column pairwise, so the last digits may differ
+        np.testing.assert_allclose(spec.normals, want, rtol=1e-12, atol=1e-300)
+
+
+def test_attack_reuses_the_callers_operator_and_eigenvalues():
+    rng = stream(0, "boost", "reuse")
+    spec = boosting.EnsembleSpec(rng.normal(size=(7, 4)), np.full(7, 1.0 / 7.0))
+    C = boosting.ensemble_operator(spec)
+    dec = linalg.eig_hermitian(C)
+    psi = rng.normal(size=4)
+    psi /= np.linalg.norm(psi)
+    for alpha in (0.0, 0.2, 0.45):
+        attack = boosting.AttackSpec(alpha=alpha)
+        own = boosting.attack_ensemble(spec, attack)
+        reused = boosting.attack_ensemble(spec, attack, C, dec.eigenvalues)
+        assert np.array_equal(own.operator, reused.operator)
+        assert (own.norm_shift, own.eig_shift_max) == (reused.norm_shift,
+                                                      reused.eig_shift_max)
+        # the report's decomposition is the one the classifier would take
+        from_operator = boosting.classify_by_eigenspace(psi, own.operator)
+        from_decomposition = boosting.classify_by_eigenspace(psi, own.decomposition)
+        assert from_operator == from_decomposition
+    assert boosting.classify_by_eigenspace(psi, C) == boosting.classify_by_eigenspace(psi, dec)
+
+
 def test_bootstrap_single_member_duplicated():
     rng = stream(1, "boost", "single")
     X = rng.normal(size=(40, 2))

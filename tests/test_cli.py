@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from aqml import cli
+from aqml import boosting, cli, embedding, linalg
 
 
 def write_cfg(tmp_path, name, payload):
@@ -50,6 +50,15 @@ def test_kmeans_blob_centers_shape_exits_2(tmp_path, capsys, centers):
     assert rc == 2
     assert "blob_centers shape" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "kmeans_trajectory.csv")
+
+
+@pytest.mark.parametrize("key", ["k", "n_participants"])
+def test_kmeans_nonpositive_count_exits_2_naming_the_key(tmp_path, capsys, key):
+    cfg = write_cfg(tmp_path, "km.json", {key: 0})
+    rc = cli.main(["kmeans", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"config error: {key} must lie in" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
 
 
 @pytest.mark.parametrize("sub,payload", [
@@ -197,3 +206,37 @@ def test_reruns_are_byte_identical(tmp_path, capsys, sub, extra):
     for name in os.listdir(out_a):
         if name.endswith(".csv"):
             assert read_artifact(str(out_a), name) == read_artifact(str(out_b), name)
+
+
+def _count_calls(monkeypatch, module, name, counts):
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize("sub", ["boost", "qpca"])
+def test_default_runs_build_and_decompose_each_operator_once(
+    tmp_path, capsys, monkeypatch, sub
+):
+    # per seed: C is built in training and in the run, and decomposed there
+    # (the gap) and once for every attack; each C' is built and decomposed
+    # once.  qpca builds the clean core once and one poisoned core per alpha.
+    counts = {}
+    _count_calls(monkeypatch, linalg, "eig_hermitian", counts)
+    _count_calls(monkeypatch, boosting, "_reflection_sum", counts)
+    _count_calls(monkeypatch, embedding, "robust_pca_core", counts)
+    assert cli.main([sub, "--seed", "0", "--out", str(tmp_path)]) == 0
+    cfg = cli.parse_config(sub, None)
+    seeds, alphas = cfg["seeds"], len(cfg["alphas"])
+    if sub == "boost":
+        assert counts["_reflection_sum"] <= seeds * (2 + alphas)
+        assert counts["eig_hermitian"] <= seeds * (2 + alphas)
+        assert "robust_pca_core" not in counts
+    else:
+        assert counts["robust_pca_core"] <= seeds * (1 + alphas)
+        assert counts["eig_hermitian"] <= seeds
+        assert "_reflection_sum" not in counts

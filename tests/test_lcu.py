@@ -60,6 +60,36 @@ def test_decompose_reconstruction_and_one_sparsity():
             assert nz.sum(axis=1).max() <= 1
 
 
+@st.composite
+def _sparse_hermitian(draw):
+    """A Hermitian matrix of dim 1-10 with a random support pattern (any
+    sparsity, empty rows and a zero or full diagonal included), real or
+    complex entries, each either exactly 0 or above the sparsity threshold."""
+    dim = draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.0, 0.1, 0.3, 0.7, 1.0]))
+    support = np.triu(rng.random((dim, dim)) < density)
+    values = rng.uniform(0.001, 1.0, (dim, dim)) * rng.choice([-1.0, 1.0], (dim, dim))
+    if draw(st.booleans()):
+        values = values * np.exp(1j * rng.uniform(0, 2 * np.pi, (dim, dim)))
+    A = np.where(support, values, 0.0)
+    A = np.triu(A, 1) + np.triu(A, 1).conj().T + np.diag(np.real(np.diag(A)))
+    return A
+
+
+@settings(max_examples=150, deadline=None)
+@given(A=_sparse_hermitian())
+def test_decomposition_layers_are_one_sparse_and_sum_to_the_matrix(A):
+    dec = lcu.one_sparse_decompose(A)
+    for term in dec.terms:
+        nz = np.abs(term) > lcu.SPARSITY_THRESHOLD
+        assert nz.sum(axis=0).max() <= 1 and nz.sum(axis=1).max() <= 1
+        assert np.array_equal(term, term.conj().T)
+    # every entry lands in exactly one layer, so the sum is exact
+    total = dec.reconstruct() if dec.terms else np.zeros_like(A)
+    assert np.array_equal(total, A)
+
+
 def test_one_sparse_norm_is_max_entry():
     # spectral norm of a one-sparse Hermitian equals its largest |entry|
     rng = stream(0, "lcu", "norm")

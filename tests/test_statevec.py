@@ -153,6 +153,36 @@ def test_drawn_readouts_match_sequential_calls(probs, delta0, seed):
     assert ahead.bit_generator.state == rng.bit_generator.state
 
 
+def _circuit_distribution(U, psi, bits):
+    """Reference: textbook QPE by state-vector simulation.  `bits` control
+    qubits in |+>, controlled-U^(2^m) powers, inverse QFT on the control
+    register (applied as the DFT along the control axis, the same unitary).
+    Entry y is the probability of reading the phase y / 2^bits."""
+    U = np.asarray(U, dtype=np.complex128)
+    psi = np.asarray(psi, dtype=np.complex128)
+    assert np.max(np.abs(U @ U.conj().T - np.eye(len(psi)))) <= 1e-9
+    n_ctrl = 2**bits
+    # joint state, control register as the leading axis, all controls in |+>
+    joint = np.tile(psi, (n_ctrl, 1)) / math.sqrt(n_ctrl)
+    U_pow = U
+    for m in range(bits):  # controlled-U^(2^m) on control bit of weight 2^m
+        rows = np.arange(n_ctrl) & (1 << m) != 0
+        joint[rows] = joint[rows] @ U_pow.T
+        if m + 1 < bits:
+            U_pow = U_pow @ U_pow
+    # inverse QFT on the control register: y-amplitudes sum_x e^{-2pi i xy/N}
+    joint = np.fft.fft(joint, axis=0) / math.sqrt(n_ctrl)
+    dist = np.sum(np.abs(joint) ** 2, axis=1)
+    return dist / np.sum(dist)
+
+
+def _diagonal_qpe(phis, weights, bits):
+    # U = diag(e^{2 pi i phi}) = e^{-iH} with H = diag(-2 pi phi)
+    return statevec.phase_estimate_distribution(
+        -2.0 * math.pi * np.asarray(phis), np.asarray(weights, dtype=float), bits
+    )
+
+
 def test_amplitude_estimate_circuit_contract():
     # circuit-level mode: modal estimate sin^2(pi y / 2^bits) lands near p
     for p in (0.0, 0.25, 0.7):
@@ -162,14 +192,26 @@ def test_amplitude_estimate_circuit_contract():
         assert abs(est - p) <= 2e-2
 
 
+@pytest.mark.parametrize("p", [0.0, 0.1, 0.25, 0.5, 0.7, 1.0])
+def test_amplitude_estimate_circuit_matches_grover_circuit(p):
+    # QPE of the Grover iterate, a rotation by 2 theta, on A|0>
+    theta = math.asin(math.sqrt(p))
+    c, s = math.cos(2 * theta), math.sin(2 * theta)
+    G = np.array([[c, -s], [s, c]])
+    amp = np.array([math.cos(theta), math.sin(theta)])
+    for bits in (1, 5, 8):
+        want = _circuit_distribution(G, amp, bits)
+        got = statevec.amplitude_estimate_circuit(p, bits)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
 def test_phase_estimate_representable_phase():
-    U = np.diag([1.0, np.exp(2j * math.pi * 0.25)])
-    dist = statevec.phase_estimate_distribution(U, np.array([0.0, 1.0]), bits=2)
+    dist = _diagonal_qpe([0.0, 0.25], [0.0, 1.0], bits=2)
     assert dist[1] == pytest.approx(1.0, abs=1e-12)  # phase 1/4 = y / 2^2
 
 
 def test_phase_estimate_identity():
-    dist = statevec.phase_estimate_distribution(np.eye(4), np.ones(4) / 2.0, bits=3)
+    dist = statevec.phase_estimate_distribution(np.zeros(4), np.full(4, 0.25), 3)
     assert dist[0] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -177,8 +219,7 @@ def test_phase_estimate_fejer_distribution():
     # non-representable phase 0.3 at 4 bits: closed-form QPE distribution
     phi = 0.3
     bits = 4
-    U = np.diag([1.0, np.exp(2j * math.pi * phi)])
-    dist = statevec.phase_estimate_distribution(U, np.array([0.0, 1.0]), bits)
+    dist = _diagonal_qpe([0.0, phi], [0.0, 1.0], bits)
     n = 2**bits
     for y in range(n):
         delta = phi - y / n
@@ -195,16 +236,70 @@ def test_phase_estimate_fejer_distribution():
 def test_phase_estimate_superposition_linearity():
     rng = stream(0, "sv", "lin")
     phis = [0.1, 0.4, 0.8]
-    U = np.diag([np.exp(2j * math.pi * p) for p in phis])
     amps = rng.normal(size=3)
     amps /= np.linalg.norm(amps)
-    dist = statevec.phase_estimate_distribution(U, amps.astype(complex), bits=5)
+    dist = _diagonal_qpe(phis, amps**2, bits=5)
     combo = np.zeros(2**5)
-    for a, p in zip(amps, phis):
-        e = np.zeros(3, dtype=complex)
-        e[phis.index(p)] = 1.0
-        combo += a**2 * statevec.phase_estimate_distribution(U, e, bits=5)
+    for k, a in enumerate(amps):
+        combo += a**2 * _diagonal_qpe(phis, np.eye(3)[k], bits=5)
     assert np.max(np.abs(dist - combo)) <= 1e-10
+
+
+@pytest.mark.parametrize("energies,weights", [
+    (np.zeros(2), np.array([0.5, 0.4])),  # does not sum to 1
+    (np.zeros(2), np.array([1.5, -0.5])),  # negative weight
+    (np.zeros(2), np.array([1.0])),  # one weight per energy
+    (np.array([np.nan, 0.0]), np.array([0.5, 0.5])),
+])
+def test_phase_estimate_rejects_bad_spectrum(energies, weights):
+    with pytest.raises(ValueError):
+        statevec.phase_estimate_distribution(energies, weights, 4)
+
+
+def _wrap(E):
+    return E + 2.0 * math.pi if E <= -math.pi else E
+
+
+@st.composite
+def _qpe_instances(draw):
+    """(bits, energies, seed): a spectrum of 1-8 eigenvalues (at most 2 above
+    12 bits), with repeats, representable phases E = -2 pi j / 2^bits and
+    energies at and near +-pi among the draws."""
+    bits = draw(st.integers(1, 16))
+    dim = draw(st.integers(1, 8 if bits <= 12 else 2))
+    n = 2**bits
+    energy = st.one_of(
+        st.floats(-math.pi, math.pi),
+        st.integers(0, n - 1).map(lambda j: _wrap(-2.0 * math.pi * j / n)),
+        st.sampled_from([math.pi, -math.pi, math.nextafter(math.pi, 0.0),
+                         math.nextafter(-math.pi, 0.0), math.pi - 1e-9,
+                         -math.pi + 1e-6, 0.0]),
+    )
+    drawn = draw(st.lists(energy, min_size=1, max_size=dim))
+    repeats = [draw(st.sampled_from(drawn)) for _ in range(dim - len(drawn))]
+    return bits, np.array(drawn + repeats), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(instance=_qpe_instances())
+@example(instance=(16, np.array([math.pi - 1e-9, -2.0 * math.pi * 3 / 2**16]), 0))
+@example(instance=(12, np.array([0.3, 0.3, 0.3, -0.3, 1.0, 1.0, -3.0, math.pi]), 1))
+@example(instance=(1, np.array([-math.pi + 1e-6]), 2))
+def test_spectral_distribution_matches_circuit(instance):
+    # H = V diag(E) V^dag for a random unitary V, complex psi; the spectral
+    # form and the simulated circuit agree per outcome
+    bits, E, seed = instance
+    rng = np.random.default_rng(seed)
+    dim = len(E)
+    V, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    psi /= np.linalg.norm(psi)
+    U = (V * np.exp(-1j * E)) @ V.conj().T
+    want = _circuit_distribution(U, psi, bits)
+    weights = np.abs(V.conj().T @ psi) ** 2
+    got = statevec.phase_estimate_distribution(E, weights, bits)
+    assert got.shape == (2**bits,)
+    assert np.max(np.abs(got - want)) <= 1e-10
 
 
 def test_phase_to_eigenvalue_wrap():
@@ -216,6 +311,20 @@ def test_phase_to_eigenvalue_wrap():
     assert statevec.phase_to_eigenvalue(0.25, scale=0.5) == pytest.approx(
         -math.pi, abs=1e-12
     )
+
+
+@pytest.mark.parametrize("bits", [1, 4, 10, 16])
+@pytest.mark.parametrize("scale", [1.0, 0.37, 1.0 / 3.0])
+def test_phase_to_eigenvalue_on_arrays_matches_scalar_wrap(bits, scale):
+    # the array form is bit-identical to wrapping one phase at a time
+    phases = np.arange(2**bits) / 2**bits
+    want = []
+    for phase in phases.tolist():
+        E = -2.0 * math.pi * phase
+        while E <= -math.pi:
+            E += 2.0 * math.pi
+        want.append(E / scale)
+    assert statevec.phase_to_eigenvalue(phases, scale).tolist() == want
 
 
 @given(
@@ -237,4 +346,4 @@ def test_phase_to_eigenvalue_lands_in_principal_branch(phase, scale_exp):
 
 def test_phase_estimate_bits_cap():
     with pytest.raises(ValueError):
-        statevec.phase_estimate_distribution(np.eye(2), np.array([1.0, 0.0]), 17)
+        statevec.phase_estimate_distribution(np.zeros(2), np.array([1.0, 0.0]), 17)
