@@ -223,6 +223,43 @@ class AttackReport:
     alpha_used: float
 
 
+def _flip_set(weights: np.ndarray, alpha: float, targets: tuple = ()) -> tuple:
+    """Mask of the classifiers the flip attack negates, and their weight.
+
+    Walking the classifiers heaviest first, or in `targets` order, one is
+    negated when its weight is positive, it is not negated yet and it still
+    fits, used + b <= alpha + 1e-12, with `used` summed in walking order.
+    `used` only grows, so a repeated target never fits where its first
+    occurrence did not: targets count by first occurrence.  The walk takes
+    each maximal run that fits with one accumulate seeded with `used`, and
+    stops once the lightest weight left no longer fits.
+    """
+    if targets:
+        idx = np.arange(len(weights))[list(targets)]
+        idx = idx[np.sort(np.unique(idx, return_index=True)[1])]
+    else:
+        idx = np.argsort(-weights)
+    b = weights[idx]
+    positive = b > 0
+    idx, b = idx[positive], b[positive]
+    lightest = np.minimum.accumulate(b[::-1])[::-1]  # min of b[i:]
+    limit = alpha + 1e-12
+    flipped = np.zeros(len(weights), dtype=bool)
+    used = 0.0
+    i = 0
+    while i < len(b) and used + lightest[i] <= limit:
+        if used + b[i] > limit:  # skip to the next one that fits
+            i += int(np.argmax(used + b[i:] <= limit))
+        # running sums of positive weights never fall, so the run is every
+        # sum within the limit
+        sums = np.add.accumulate(np.concatenate(([used], b[i:])))
+        run = int(np.count_nonzero(sums[1:] <= limit))
+        flipped[idx[i : i + run]] = True
+        used = float(sums[run])
+        i += run + 1
+    return flipped, used
+
+
 def attack_ensemble(
     spec: EnsembleSpec,
     attack: AttackSpec,
@@ -242,17 +279,7 @@ def attack_ensemble(
         C = ensemble_operator(spec)
     if eigenvalues is None:
         eigenvalues = linalg.eig_hermitian(C).eigenvalues
-    order = np.argsort(-spec.weights) if not attack.target_indices else list(
-        attack.target_indices
-    )
-    used = 0.0
-    flipped = np.zeros(len(spec.weights), dtype=bool)
-    for j in order:
-        b = float(spec.weights[j])
-        if b <= 0 or flipped[j] or used + b > attack.alpha + 1e-12:
-            continue
-        flipped[j] = True
-        used += b
+    flipped, used = _flip_set(spec.weights, attack.alpha, attack.target_indices)
     Cp = C - 2.0 * _reflection_sum(spec.normals[flipped], spec.weights[flipped])
     norm_shift = linalg.norm(Cp - C, "spectral")
     if norm_shift > 2 * used + 1e-10:

@@ -16,6 +16,11 @@ from .util import QueryCounter
 # entries at or below this magnitude count as structural zeros
 SPARSITY_THRESHOLD = 1e-12
 
+# simulate_noisy runs its Monte Carlo trials in blocks whose (block, dim, dim)
+# float64 stacks hold at most this many bytes each, so the scratch stacks
+# stay in cache and are reused by every segment of every block
+BLOCK_BYTES = 128 * 1024
+
 
 @dataclass(frozen=True)
 class SparseHermitian:
@@ -115,41 +120,13 @@ def sign_count_average(values: np.ndarray, max_norm: float, m_disc: int) -> np.n
     O(1/m_disc).  Vectorized closed form of the sum over m."""
     mag = np.abs(np.asarray(values, dtype=np.float64))
     # number of m with indicator false, i.e. m <= |v| m_disc / max_norm
-    n_plus = np.floor(mag * m_disc / max_norm).astype(np.int64)
-    n_plus = np.minimum(n_plus, m_disc)
-    # remaining m alternate (-1)^m starting at m = n_plus + 1
-    n_alt = m_disc - n_plus
-    # sum of (-1)^m over m = a+1 .. m_disc: 0 if even count, else (-1)^(a+1)
-    alt_sum = np.where(n_alt % 2 == 0, 0, np.where((n_plus + 1) % 2 == 0, 1, -1))
+    mag *= m_disc
+    mag /= max_norm
+    n_plus = np.minimum(np.floor(mag, out=mag).astype(np.int64), m_disc)
+    # the remaining m = n_plus+1 .. m_disc alternate (-1)^m: their sum is 0
+    # for an even count, else (-1)^(n_plus+1), i.e. +1 for odd n_plus
+    alt_sum = ((m_disc - n_plus) & 1) * (2 * (n_plus & 1) - 1)
     return (n_plus + alt_sum) / m_disc
-
-
-def sign_decompose(term: np.ndarray, m_disc: int, max_norm: float | None = None) -> list:
-    """Self-inverse signed unitary summands of a one-sparse Hermitian term.
-
-    Averaging the returned matrices over m reproduces term / max_norm within
-    O(1/m_disc) per entry.  Magnitudes are encoded by the discretized sign
-    count; entry phases ride along so negative and complex entries decompose
-    too (the nonnegative case reduces to the plain (-1)^(...) rule).
-    """
-    term = np.asarray(term, dtype=np.complex128)
-    if max_norm is None:
-        max_norm = float(np.max(np.abs(term)))
-    if max_norm == 0:
-        return []
-    if m_disc < 1:
-        raise ValueError("m_disc must be >= 1")
-    support = np.abs(term) > 1e-15
-    mag = np.abs(term)
-    phase = np.where(support, np.where(mag > 0, term / np.where(mag == 0, 1, mag), 0), 0)
-    # permutation-with-phases pattern on the support; unit entries
-    base = np.where(support, phase, 0).astype(np.complex128)
-    n_plus = np.minimum(np.floor(mag * m_disc / max_norm).astype(np.int64), m_disc)
-    out = []
-    for m in range(1, m_disc + 1):
-        signs = np.where(m <= n_plus, 1.0, (-1.0) ** m)
-        out.append(base * signs)
-    return out
 
 
 # noisy-oracle mode requires delta <= DELTA_MDISC_CONSTANT / m_disc so the
@@ -170,8 +147,8 @@ class TaylorConfig:
     time: float = 1.0
 
     def __post_init__(self):
-        if self.order < 1 or self.m_disc < 1:
-            raise ValueError("order and m_disc must be >= 1")
+        if self.order < 1 or self.m_disc < 1 or self.n_trials < 1:
+            raise ValueError("order, m_disc and n_trials must be >= 1")
         if not (0.0 <= self.delta < 1.0 and self.eta >= 0.0):
             raise ValueError("invalid oracle noise parameters")
         if self.delta > 0.0 and self.delta > DELTA_MDISC_CONSTANT / self.m_disc:
@@ -205,29 +182,32 @@ def taylor_segment(H, t: float, K: int):
     return S, smin
 
 
-def _real_series(A: np.ndarray, K: int) -> tuple:
-    """Real C and S with sum_{q<=K} (-iA)^q / q! = C - iS for a stack of
-    real matrices A, from the powers of B = A^2:
+def _real_series(A: np.ndarray, K: int, C: np.ndarray, S: np.ndarray, scratch) -> None:
+    """Write real C and S with sum_{q<=K} (-iA)^q / q! = C - iS for a stack
+    of real matrices A into the stacks C and S, from the powers of B = A^2:
     C = sum_j (-1)^j B^j / (2j)! and S = A sum_j (-1)^j B^j / (2j+1)!.
 
-    One `term` array steps through c_1 B, s_1 B, c_2 B^2, s_2 B^2, ... with
-    c_j = (-1)^j / (2j)!, s_j = c_j / (2j+1) and c_{j+1} = -s_j / (2j+2),
-    scaled in place, so each step allocates only its matmul result."""
+    `scratch` is four more stacks of A's shape.  One term steps through
+    c_1 B, s_1 B, c_2 B^2, s_2 B^2, ... with c_j = (-1)^j / (2j)!,
+    s_j = c_j / (2j+1) and c_{j+1} = -s_j / (2j+2), scaled in place, so
+    nothing is allocated."""
+    B, term, spare, odd = scratch
     idx = np.arange(A.shape[-1])
-    C = np.zeros_like(A)
+    C.fill(0.0)
     C[..., idx, idx] = 1.0
-    S = C.copy()
-    B = A @ A
-    term = B * -0.5
+    np.copyto(odd, C)
+    np.matmul(A, A, out=B)
+    np.multiply(B, -0.5, out=term)
     for j in range(1, K // 2 + 1):
         if j > 1:
-            term = term @ B
+            np.matmul(term, B, out=spare)
+            term, spare = spare, term
             term *= -1.0 / (2 * j)
         C += term
         if 2 * j + 1 <= K:
             term /= 2 * j + 1
-            S += term
-    return C, A @ S
+            odd += term
+    np.matmul(A, odd, out=S)
 
 
 def taylor_remainder_bound(h_norm: float, t: float, K: int) -> float:
@@ -245,15 +225,17 @@ def _noisy_entry_samples(
     """Draw `size` oracle readouts for each entry value: within eta except
     with probability delta, when the value is replaced by failure content."""
     vals = np.asarray(values, dtype=np.float64)
-    out = vals[None, :] + cfg.eta * rng.uniform(-1.0, 1.0, (size, len(vals)))
+    out = rng.uniform(-1.0, 1.0, (size, len(vals)))
+    out *= cfg.eta
+    out += vals
     if cfg.delta > 0.0:
         fail = rng.random((size, len(vals))) < cfg.delta
         if cfg.failure_mode == "worst-case":
-            bad = -vals[None, :] * np.ones((size, 1))
+            bad = -vals
         else:
             bad = rng.uniform(-max_norm, max_norm, (size, len(vals)))
-        out = np.where(fail, bad, out)
-    return np.clip(out, -max_norm, max_norm)
+        np.copyto(out, bad, where=fail)
+    return np.clip(out, -max_norm, max_norm, out=out)
 
 
 @dataclass
@@ -290,6 +272,12 @@ def simulate_noisy(
     S = sum_{q odd} (-1)^((q-1)/2) A^q / q!,
     and the running product is carried as a real pair Pr + iPi, using
     (C - iS)(Pr + iPi) = (C Pr + S Pi) + i(C Pi - S Pr).
+
+    All T * r * nnz oracle reads are drawn first, so the generator stream
+    does not depend on how the trials are grouped.  The trials then run in
+    blocks of max(1, BLOCK_BYTES // (8 dim^2)); every block reuses the same
+    nine (block, dim, dim) scratch stacks, and its Pr and Pi are summed into
+    Q.  Memory is O(block dim^2 + T r nnz) rather than O(T dim^2).
     """
     if not isinstance(H, SparseHermitian):
         H = SparseHermitian(np.asarray(H))
@@ -313,31 +301,43 @@ def simulate_noisy(
         T, r, n_slots
     )
     counter.charge("matrix_element_oracle", T * r * n_slots)
-    # sign discretization quantizes each read to a multiple of max_norm/m_disc
+    # sign discretization quantizes each read to a multiple of max_norm/m_disc;
+    # only the scaled, quantized reads are used from here on
     quant = np.sign(reads) * sign_count_average(reads, max_norm, cfg.m_disc) * max_norm
-    # only the quantized reads are used from here on; free the raw ones
+    quant *= t_seg
     del reads
 
     # real arithmetic: the segment series is C - iS, the running product
-    # Pr + iPi starts from the first segment, (C_0, -S_0)
-    A = np.zeros((T, dim, dim))
-    for s in range(r):
-        vals = t_seg * quant[:, s, :]
-        A[:, rows, cols] = vals
-        A[:, cols, rows] = vals
-        C, S = _real_series(A, cfg.order)
-        if s == 0:
-            Pr, Pi = C, -S
-        else:
-            # (C - iS)(Pr + iPi), summed in place so fewer (T, dim, dim)
-            # temporaries are alive at once
-            Pr_next = C @ Pr
-            Pr_next += S @ Pi
-            Pi = C @ Pi
-            Pi -= S @ Pr
-            Pr = Pr_next
+    # Pr + iPi starts from the first segment, (C_0, -S_0).  Trials run in
+    # blocks over one set of scratch stacks; A's off-support entries stay 0.
+    block = min(T, max(1, BLOCK_BYTES // (8 * dim * dim)))
+    work = np.zeros((9, block, dim, dim))
+    Q_re = np.zeros((dim, dim))
+    Q_im = np.zeros((dim, dim))
+    for start in range(0, T, block):
+        stop = min(start + block, T)
+        A, C, S, Pr, Pi, *scratch = work[:, : stop - start]
+        for s in range(r):
+            vals = quant[start:stop, s, :]
+            A[:, rows, cols] = vals
+            A[:, cols, rows] = vals
+            _real_series(A, cfg.order, C, S, scratch)
+            if s == 0:
+                np.copyto(Pr, C)
+                np.negative(S, out=Pi)
+            else:
+                # (C - iS)(Pr + iPi) = (C Pr + S Pi) + i(C Pi - S Pr)
+                X, Y, Z = scratch[:3]
+                np.matmul(C, Pr, out=X)
+                X += np.matmul(S, Pi, out=Y)
+                np.matmul(C, Pi, out=Y)
+                Y -= np.matmul(S, Pr, out=Z)
+                # the old Pr and Pi stacks become scratch
+                Pr, Pi, scratch[0], scratch[1] = X, Y, Pr, Pi
+        Q_re += Pr.sum(axis=0)
+        Q_im += Pi.sum(axis=0)
     counter.charge("lcu_segment_queries", T * r * cfg.order)
-    Q = Pr.mean(axis=0) + 1j * Pi.mean(axis=0)
+    Q = Q_re / T + 1j * (Q_im / T)
 
     M_eff = extract_effective_hamiltonian(Q, cfg.time)
     deviation = linalg.norm(H.matrix - M_eff, "spectral")

@@ -29,19 +29,57 @@ def reflection_sum_loop(normals, weights):
     return C
 
 
+def flip_set_loop(weights, alpha, targets=()):
+    """Reference for `boosting._flip_set`: walk the classifiers heaviest
+    first, or in `targets` order, one at a time, negating each whose weight
+    is positive, that is not negated yet and that still fits in alpha."""
+    flipped = np.zeros(len(weights), dtype=bool)
+    used = 0.0
+    for j in targets or np.argsort(-weights):
+        b = float(weights[j])
+        if b <= 0 or flipped[j] or used + b > alpha + 1e-12:
+            continue
+        flipped[j] = True
+        used += b
+    return flipped, used
+
+
 def flip_attack_loop(normals, weights, alpha, targets=()):
     """Reference flip attack: negate classifiers heaviest first, or in
     `targets` order, while their weight still fits in alpha; each classifier
     is negated at most once. Then sum the signed reflections."""
-    signs = np.ones(len(weights))
-    used = 0.0
-    for j in targets or np.argsort(-weights):
-        b = float(weights[j])
-        if b <= 0 or signs[j] < 0 or used + b > alpha + 1e-12:
-            continue
-        signs[j] = -1.0
-        used += b
+    flipped, used = flip_set_loop(weights, alpha, targets)
+    signs = np.where(flipped, -1.0, 1.0)
     return reflection_sum_loop(normals, signs * weights), used
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 400),
+    kind=st.sampled_from(["uniform", "random", "few-values", "geometric", "signed"]),
+    zero_frac=st.sampled_from([0.0, 0.2, 0.9]),
+    targeted=st.booleans(),
+    alpha=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
+)
+def test_flip_set_matches_the_loop(seed, n, kind, zero_frac, targeted, alpha):
+    # ties, zero and negative weights, repeated and negative target indices
+    rng = np.random.default_rng(seed)
+    w = {
+        "uniform": np.ones(n),
+        "random": rng.random(n),
+        "few-values": rng.integers(1, 4, n).astype(np.float64),
+        "geometric": 0.5 ** rng.integers(0, 30, n),
+        "signed": rng.uniform(-1.0, 1.0, n),
+    }[kind]
+    w[rng.random(n) < zero_frac] = 0.0
+    total = np.abs(w).sum()
+    w = w / total if total > 0 else w
+    targets = tuple(rng.integers(-n, n, rng.integers(1, 2 * n + 1))) if targeted else ()
+    flipped, used = boosting._flip_set(w, alpha, targets)
+    flipped_ref, used_ref = flip_set_loop(w, alpha, targets)
+    assert np.array_equal(flipped, flipped_ref)
+    assert used == used_ref
 
 
 @st.composite

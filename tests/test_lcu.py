@@ -2,6 +2,7 @@
 and noisy-oracle simulation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -133,21 +134,68 @@ def test_sign_count_average_matches_explicit_sum(numerators, norm_exp, m_disc):
         assert g == total / m_disc
 
 
+def sign_decompose(term, m_disc, max_norm=None):
+    """Reference for the quantization of `lcu.sign_count_average`: the
+    self-inverse signed unitary summands of a one-sparse Hermitian term.
+
+    Averaging the returned matrices over m reproduces term / max_norm within
+    O(1/m_disc) per entry.  Magnitudes are encoded by the discretized sign
+    count; entry phases ride along so negative and complex entries decompose
+    too (the nonnegative case reduces to the plain (-1)^(...) rule).
+    """
+    term = np.asarray(term, dtype=np.complex128)
+    if max_norm is None:
+        max_norm = float(np.max(np.abs(term)))
+    if max_norm == 0:
+        return []
+    if m_disc < 1:
+        raise ValueError("m_disc must be >= 1")
+    support = np.abs(term) > 1e-15
+    mag = np.abs(term)
+    phase = np.where(support, np.where(mag > 0, term / np.where(mag == 0, 1, mag), 0), 0)
+    # permutation-with-phases pattern on the support; unit entries
+    base = np.where(support, phase, 0).astype(np.complex128)
+    n_plus = np.minimum(np.floor(mag * m_disc / max_norm).astype(np.int64), m_disc)
+    out = []
+    for m in range(1, m_disc + 1):
+        signs = np.where(m <= n_plus, 1.0, (-1.0) ** m)
+        out.append(base * signs)
+    return out
+
+
 def test_sign_decompose_average_reproduces_term():
     term = np.array([[0.0, 0.37], [0.37, 0.0]])
-    parts = lcu.sign_decompose(term, m_disc=1000, max_norm=1.0)
+    parts = sign_decompose(term, m_disc=1000, max_norm=1.0)
     avg = np.mean(parts, axis=0)
     assert np.abs(avg - term / 1.0).max() <= 2.0 / 1000
 
 
 def test_sign_decompose_zero_norm_empty():
-    assert lcu.sign_decompose(np.zeros((2, 2)), m_disc=10, max_norm=0.0) == []
+    assert sign_decompose(np.zeros((2, 2)), m_disc=10, max_norm=0.0) == []
 
 
 def test_sign_summands_self_inverse():
     term = np.array([[0.0, 0.6], [0.6, 0.0]])
-    for U in lcu.sign_decompose(term, m_disc=200, max_norm=1.0):
+    for U in sign_decompose(term, m_disc=200, max_norm=1.0):
         assert np.allclose(U @ U, np.eye(2), atol=1e-12)
+
+
+@given(
+    numerators=st.lists(st.integers(-64, 64), min_size=1, max_size=6),
+    norm_exp=st.integers(-4, 4),
+    m_disc=st.integers(1, 64),
+)
+def test_sign_count_average_is_the_summand_average(numerators, norm_exp, m_disc):
+    # a real one-sparse term, 2x2 blocks [[0, v], [v, 0]] with v = j/64 *
+    # max_norm: simulate_noisy's quantization sign(v) sign_count_average(v)
+    # is the average of the signed summands (whose unit phases v/|v| are
+    # complex quotients, exact only to rounding)
+    max_norm = 2.0**norm_exp
+    values = np.array(numerators, dtype=np.float64) / 64.0 * max_norm
+    term = np.kron(np.diag(values), [[0.0, 1.0], [1.0, 0.0]])
+    avg = np.mean(sign_decompose(term, m_disc, max_norm), axis=0)
+    quantized = np.sign(term) * lcu.sign_count_average(term, max_norm, m_disc)
+    assert np.abs(avg - quantized).max() <= 1e-14
 
 
 def test_taylor_segment_identity_at_zero():
@@ -182,6 +230,8 @@ def test_config_delta_invariant():
     lcu.TaylorConfig(order=6, m_disc=10000, delta=1e-2)
     with pytest.raises(ValueError):
         lcu.TaylorConfig(order=6, m_disc=10000, delta=0.05)
+    with pytest.raises(ValueError):
+        lcu.TaylorConfig(n_trials=0)
 
 
 def test_simulate_noiseless_matches_exact():
@@ -319,6 +369,10 @@ def complex_loop_channel(A, cfg, rng):
          failure_mode="uniform", time=0.05)  # r = 1
 @example(seed=0, dim=10, d=3, order=12, n_trials=20, eta=1e-2, delta=1e-2,
          failure_mode="worst-case", time=0.5)  # r > 1
+@example(seed=1, dim=16, d=3, order=6, n_trials=150, eta=1e-2, delta=1e-2,
+         failure_mode="uniform", time=0.5)  # blocks of 64 trials, 150 = 2*64 + 22
+@example(seed=2, dim=32, d=3, order=6, n_trials=40, eta=1e-3, delta=1e-2,
+         failure_mode="worst-case", time=0.5)  # blocks of 16 trials, 40 = 2*16 + 8
 def test_simulate_noisy_matches_complex_loop(
     seed, dim, d, order, n_trials, eta, delta, failure_mode, time
 ):
@@ -339,6 +393,25 @@ def test_simulate_noisy_matches_complex_loop(
         assert rep.segments == r_ref
         assert np.abs(rep.effective_channel - Q_ref).max() <= 1e-13
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_simulate_noisy_memory_is_blocked():
+    # the trial stacks are blocks of BLOCK_BYTES each: at T 2000 and dim 32
+    # the peak stays below two (T, dim, dim) float64 stacks, where holding
+    # every trial's series and product at once takes several of them
+    dim, T = 32, 2000
+    assert lcu.BLOCK_BYTES // (8 * dim * dim) < T
+    A = random_sparse_symmetric(np.random.default_rng(3), dim, 3)
+    cfg = lcu.TaylorConfig(order=6, m_disc=10**4, eta=1e-2, delta=1e-2,
+                           n_trials=T, failure_mode="worst-case", time=0.5)
+    tracemalloc.start()
+    try:
+        rep = lcu.simulate_noisy(A, cfg, stream(0, "lcu", "memory"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.deviation_spectral <= 4.0 * rep.bound_scale
+    assert peak < 2 * T * dim * dim * 8
 
 
 @given(
