@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -347,7 +348,10 @@ _RUNNERS = {
 }
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it
+    unchanged, so every `main` call reuses it."""
     parser = argparse.ArgumentParser(
         prog="aqml",
         description="adversarially robust quantum ML experiment runner",
@@ -358,7 +362,11 @@ def main(argv=None) -> int:
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=".", help="output directory")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         cfg = parse_config(args.subcommand, args.config)
     except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:

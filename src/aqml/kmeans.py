@@ -41,7 +41,9 @@ class ProtocolConfig:
 @dataclass(frozen=True)
 class Participants:
     """N participants: row j of `x` is participant j's vector, and
-    `participating[j]` says whether they take part (default: all do)."""
+    `participating[j]` says whether they take part (default: all do).
+    `active` holds the vectors of the participating rows, in row order; it
+    is computed once and read-only."""
 
     x: np.ndarray
     participating: np.ndarray | None = None
@@ -58,16 +60,15 @@ class Participants:
                 else np.asarray(self.participating, dtype=bool))
         if mask.shape != (len(x),):
             raise ValueError("participation mask must have shape (N,)")
-        object.__setattr__(self, "x", np.clip(x, -1.0, 1.0))
+        x = np.clip(x, -1.0, 1.0)
+        active = x[mask]
+        active.flags.writeable = False
+        object.__setattr__(self, "x", x)
         object.__setattr__(self, "participating", mask)
+        object.__setattr__(self, "active", active)
 
     def __len__(self) -> int:
         return len(self.x)
-
-    @property
-    def active(self) -> np.ndarray:
-        """Vectors of the participating rows, in row order."""
-        return self.x[self.participating]
 
 
 @dataclass
@@ -149,18 +150,28 @@ def rotation_budget(
     return RotationBudget(q1=q1, q2=q2)
 
 
+def _sq_distances(vectors: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """(k, N) squared distances from each centroid to each vector, summed
+    over the coordinates in order (for d <= 7 the same bits as numpy's
+    pairwise sum over a length-d axis)."""
+    out = np.zeros((len(centroids), len(vectors)))
+    for q in range(vectors.shape[1]):
+        out += (vectors[:, q] - centroids[:, q, None]) ** 2
+    return out
+
+
 def assign_clusters(
     vectors: np.ndarray, centroids: np.ndarray, rng: np.random.Generator | None = None
 ) -> np.ndarray:
     """Nearest-centroid assignment; exact distance ties are broken by RNG
     so reruns with the same seed reproduce."""
-    d2 = np.sum((vectors[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
-    ties = d2 <= np.min(d2, axis=1, keepdims=True) + 1e-15
-    assign = np.argmax(ties, axis=1)  # first tied centroid
+    d2 = _sq_distances(vectors, centroids)
+    ties = d2 <= np.min(d2, axis=0) + 1e-15
+    assign = np.argmax(ties, axis=0)
     if rng is not None:
         # one draw per multiply-tied row, in row order
-        for j in np.flatnonzero(np.count_nonzero(ties, axis=1) > 1):
-            tied = np.flatnonzero(ties[j])
+        for j in np.flatnonzero(np.count_nonzero(ties, axis=0) > 1):
+            tied = np.flatnonzero(ties[:, j])
             assign[j] = tied[rng.integers(0, len(tied))]
     return assign
 
@@ -239,17 +250,13 @@ def run_round(
 
     new_centroids = centroids.copy()
     for p in range(k):
-        if p in empty:
-            # reseed to the farthest participant from any current centroid
-            # (public information only)
-            if len(vecs):
-                dist = np.min(
-                    np.sum((vecs[:, None, :] - centroids[None, :, :]) ** 2, axis=2),
-                    axis=1,
-                )
-                new_centroids[p] = vecs[np.argmax(dist)]
-            continue
-        new_centroids[p] = sums_est[p] / probs[p]
+        if p not in empty:
+            new_centroids[p] = sums_est[p] / probs[p]
+    if empty and len(vecs):
+        # empty clusters are reseeded at the participant farthest from every
+        # current centroid (public information only)
+        dist = np.min(_sq_distances(vecs, centroids), axis=0)
+        new_centroids[empty] = vecs[np.argmax(dist)]
     new_centroids = np.clip(new_centroids, -1.0, 1.0)
 
     min_p = float(np.min(probs[probs > cfg.epsilon])) if len(probs[probs > cfg.epsilon]) else 1.0

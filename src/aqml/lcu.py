@@ -290,6 +290,20 @@ def simulate_noisy(
 
     # sparse entry bookkeeping: positions of upper-triangle + diagonal support
     rows, cols = np.nonzero(np.abs(np.triu(H.matrix)) > SPARSITY_THRESHOLD)
+    if len(rows) == 0:
+        # no stored entry: e^{-i 0 t} = I exactly, with no oracle read or draw
+        return NoisySimulationReport(
+            effective_channel=np.eye(dim, dtype=np.complex128),
+            effective_hamiltonian=np.zeros((dim, dim), dtype=np.complex128),
+            deviation_spectral=linalg.norm(H.matrix, "spectral"),
+            bound_scale=0.0,
+            achieved_layers=0,
+            order=cfg.order,
+            segments=0,
+            m_disc=cfg.m_disc,
+            unitarity_drift=0.0,
+            queries=counter,
+        )
     base_vals = np.real(H.matrix[rows, cols])
     if np.max(np.abs(np.imag(H.matrix[rows, cols]))) > 1e-12:
         raise ValueError("noisy simulation path assumes real symmetric input")

@@ -1,8 +1,12 @@
 """Command-line runner: config validation, exit codes, artifact schemas,
 and byte-identical determinism."""
 
+import argparse
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -240,3 +244,50 @@ def test_default_runs_build_and_decompose_each_operator_once(
         assert counts["robust_pca_core"] <= seeds * (1 + alphas)
         assert counts["eig_hermitian"] <= seeds
         assert "_reflection_sum" not in counts
+
+
+def test_parser_is_built_once_across_calls(tmp_path, capsys, monkeypatch):
+    # the top-level parser and its subparsers are constructed on the first
+    # call only; later calls, valid or not, reuse them
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli._parser.cache_clear()
+    try:
+        cfg = write_cfg(tmp_path, "k.json", {"n_participants": 2000, "rounds": 1})
+        bad = write_cfg(tmp_path, "bad.json", {"not_a_key": 1})
+        assert cli.main(["kmeans", "--config", cfg, "--out", str(tmp_path)]) == 0
+        for sub in ("qpca", "boost", "kmeans"):
+            assert cli.main([sub, "--config", bad, "--out", str(tmp_path)]) == 2
+        assert cli.main(["kmeans", "--config", cfg, "--out", str(tmp_path)]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert built.count("aqml") == 1
+    assert len(built) == 1 + len(cli._RUNNERS)
+
+
+def test_parser_reuse_after_bad_flags(tmp_path, capsys):
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["kmeans", "--seed", "x"])
+        assert exc.value.code == 2
+    capsys.readouterr()
+    cfg = write_cfg(tmp_path, "k.json", {"n_participants": 2000, "rounds": 2})
+    argv = ["kmeans", "--config", cfg, "--seed", "3", "--out"]
+    assert cli.main(argv + [str(tmp_path / "reused")]) == 0
+    header = capsys.readouterr().out
+    src = str(Path(cli.__file__).resolve().parents[1])
+    fresh = subprocess.run(
+        [sys.executable, "-m", "aqml.cli", *argv, str(tmp_path / "fresh")],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, check=False,
+    )
+    assert fresh.returncode == 0
+    assert fresh.stdout.decode() == header
+    for name in ("kmeans_trajectory.csv", "kmeans_privacy.csv"):
+        assert (read_artifact(str(tmp_path / "reused"), name)
+                == read_artifact(str(tmp_path / "fresh"), name))

@@ -249,3 +249,35 @@ def test_assign_clusters_deterministic_ties():
     a1 = kmeans.assign_clusters(vecs, cents, stream(7, "km", "tie"))
     a2 = kmeans.assign_clusters(vecs, cents, stream(7, "km", "tie"))
     assert a1[0] == a2[0]
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_empty_cluster_reseeded_at_farthest_participant(d):
+    # centroid 0 sits in the far corner, away from every point, so its
+    # cluster is empty and it is reseeded at the participant farthest from
+    # all current centroids (the first one on a tie)
+    rng = stream(0, "km", "reseed", str(d))
+    parts = make_blobs(rng, [[-0.5] * d, [-0.2] * d], 0.2, 500)
+    init = np.array([[1.0] * d, [-0.5] * d, [-0.2] * d])
+    cfg = kmeans.ProtocolConfig(k=3, d=d, n_participants=500, epsilon=0.05)
+    res = kmeans.run_round(parts, init, cfg, rng)
+    assert res.empty_clusters == [0]
+    vecs = parts.active
+    dist = np.min(np.sum((vecs[:, None, :] - init[None, :, :]) ** 2, axis=2),
+                  axis=1)
+    np.testing.assert_array_equal(res.centroids[0], vecs[np.argmax(dist)])
+
+
+@pytest.mark.parametrize("mask", [[True, False, True], None])
+def test_participants_active_is_computed_once(mask):
+    x = np.array([[0.1, 0.2], [0.3, 0.4], [-0.5, 0.6]])
+    parts = kmeans.Participants(x, mask)
+    assert parts.active is parts.active
+    np.testing.assert_array_equal(parts.active, x[parts.participating])
+    with pytest.raises(ValueError):
+        parts.active[0, 0] = 0.0
+    # the read-only rows are a copy: x stays writable, and writing it
+    # leaves active as it was, whatever the mask
+    before = parts.active.copy()
+    parts.x[0, 0] = 0.9
+    np.testing.assert_array_equal(parts.active, before)

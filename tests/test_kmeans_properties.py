@@ -30,8 +30,9 @@ def assign_clusters_rowwise(vectors, centroids, rng=None):
 def tied_instances(draw):
     """Points and centroids on a small integer grid (scaled into [-1, 1]),
     with centroids drawn from a few grid points so duplicates are common;
-    both make exact distance ties frequent."""
-    d = draw(st.integers(1, 3))
+    both make exact distance ties frequent.  Half-integer coordinates give
+    exact squared distances, so sums of 8 or more terms tie exactly too."""
+    d = draw(st.integers(1, 9))
     k = draw(st.integers(1, 5))
     n = draw(st.integers(0, 40))
     grid = st.integers(-2, 2)
@@ -68,6 +69,31 @@ def test_assign_clusters_matches_rowwise_reference(instance, seed):
     after = np.random.get_state()
     assert state[0] == after[0] and state[2:] == after[2:]
     np.testing.assert_array_equal(state[1], after[1])
+
+
+@st.composite
+def float_instances(draw):
+    """Uniform random points in [-1, 1]^d, d <= 7, and centroids drawn with
+    repeats, so some rows tie exactly between equal centroids."""
+    d = draw(st.integers(1, 7))
+    k = draw(st.integers(1, 5))
+    n = draw(st.sampled_from([0, 1, 17, 1000, 10_000]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = rng.uniform(-1.0, 1.0, (draw(st.integers(1, k)), d))
+    centroids = pool[rng.integers(0, len(pool), k)]
+    return rng.uniform(-1.0, 1.0, (n, d)), centroids
+
+
+@settings(max_examples=40, deadline=None)
+@given(float_instances(), st.integers(0, 2**32 - 1))
+def test_assign_clusters_matches_rowwise_reference_on_floats(instance, seed):
+    vectors, centroids = instance
+    rng_ref = np.random.default_rng(seed)
+    rng_new = np.random.default_rng(seed)
+    expected = assign_clusters_rowwise(vectors, centroids, rng_ref)
+    got = kmeans.assign_clusters(vectors, centroids, rng_new)
+    np.testing.assert_array_equal(got, expected)
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
 
 def test_assign_clusters_draws_once_per_tied_row():

@@ -278,6 +278,24 @@ def test_simulate_rejects_complex():
         lcu.simulate_noisy(H, cfg, stream(0, "lcu", "cx"))
 
 
+def test_simulate_noisy_zero_matrix_is_identity():
+    # no stored entry: the channel is e^{-i 0 t} = I, nothing is read, charged
+    # or drawn
+    cfg = lcu.TaylorConfig(order=6, m_disc=10000, eta=0.01, delta=0.005,
+                           n_trials=20, time=0.5)
+    rng = stream(0, "lcu", "zero")
+    before = rng.bit_generator.state
+    rep = lcu.simulate_noisy(np.zeros((4, 4)), cfg, rng)
+    assert rng.bit_generator.state == before
+    np.testing.assert_array_equal(rep.effective_channel, np.eye(4))
+    np.testing.assert_array_equal(rep.effective_hamiltonian, np.zeros((4, 4)))
+    assert rep.deviation_spectral == 0.0
+    assert rep.bound_scale == 0.0
+    assert rep.unitarity_drift == 0.0
+    assert rep.segments == 0 and rep.achieved_layers == 0
+    assert rep.queries.total == 0
+
+
 def test_unitarity_drift_budget():
     rng = stream(0, "lcu", "drift")
     A = random_sparse_symmetric(rng, 8, 2)
