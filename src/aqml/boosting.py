@@ -140,8 +140,6 @@ def classify_by_eigenspace(
     psi: np.ndarray,
     C: np.ndarray | linalg.EigenDecomposition,
     bits: int = 10,
-    shots: int | None = None,
-    rng: np.random.Generator | None = None,
 ) -> ClassificationResult:
     """Phase-estimate e^{-iC} on psi for an ensemble operator C (clean,
     `ensemble_operator(spec)`, or attacked, `AttackReport.operator`) and
@@ -149,10 +147,8 @@ def classify_by_eigenspace(
     class is the sign of mass_plus - 1/2 with exact ties resolved to +1 and
     flagged.  C may also be given as its eigendecomposition
     (`linalg.eig_hermitian(C)` or `AttackReport.decomposition`), which the
-    phase estimation reads; an operator is decomposed here.
-
-    shots = None uses the exact phase-estimation distribution (one coherent
-    pass); integer shots draw multinomial samples for re-preparable states.
+    phase estimation reads; an operator is decomposed here.  The masses are
+    read from the exact phase-estimation distribution.
     """
     psi = np.asarray(psi, dtype=np.complex128)
     if abs(np.linalg.norm(psi) - 1.0) > 1e-9:
@@ -165,15 +161,8 @@ def classify_by_eigenspace(
     dist = statevec.phase_estimate_distribution(dec.eigenvalues, overlaps, bits)
     n_grid = len(dist)
     phases = np.arange(n_grid) / n_grid
-    if shots is not None:
-        if rng is None:
-            raise ValueError("sampled mode needs an rng")
-        counts = rng.multinomial(shots, dist)
-        weights = counts / shots
-    else:
-        weights = dist
-    mass_plus = float(np.sum(weights[phases > 0.5]))
-    mass_zero = float(weights[0])
+    mass_plus = float(np.sum(dist[phases > 0.5]))
+    mass_zero = float(dist[0])
     # eigenvalue mass sitting at phase 0 (E = 0) cannot be assigned a band
     unresolved = mass_zero > 2.0 ** (-bits)
     mass_plus_eff = mass_plus + mass_zero / 2.0

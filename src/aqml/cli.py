@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import json
 import math
@@ -34,72 +35,48 @@ def _write_csv(path, columns, rows):
             )
 
 
+# every config key: its default and, for a bounded key, its inclusive
+# [low, high]; the default fixes the key's JSON type
+_INT_MAX = 2**63 - 1  # numpy's largest integer count
+_FLOAT_CAP = 1e150  # squares and products of values up to this stay finite
+
 _SCHEMAS = {
     "qpca": {
-        "n_vectors": 16,
-        "dim": 4,
-        "norm_bound": 1.0,
-        "alphas": [0.05, 0.1, 0.2],
-        "lipschitz": 2.0,
-        "seeds": 5,
-        "median_epsilon": 0.05,
-        "median_epsilon_prime": 0.01,
-        "sample_bits": 10,
-        "sample_shots": 10000,
+        "n_vectors": (16, 1, math.inf),
+        "dim": (4, 1, math.inf),
+        "norm_bound": (1.0, 0.0, _FLOAT_CAP),
+        "alphas": ([0.05, 0.1, 0.2],),
+        "lipschitz": (2.0, 0.0, _FLOAT_CAP),
+        "seeds": (5, 0, math.inf),
+        "sample_bits": (10, 1, statevec.PHASE_BITS_CAP),
+        "sample_shots": (10000, 1, _INT_MAX),
     },
     "boost": {
-        "n_classifiers": 10,
-        "dim": 4,
-        "n_points": 60,
-        "alphas": [0.1, 0.2],
-        "seeds": 5,
-        "bits": 10,
+        "n_classifiers": (10, 1, math.inf),
+        "dim": (4, 1, math.inf),
+        "n_points": (60, 2, math.inf),
+        "alphas": ([0.1, 0.2],),
+        "seeds": (5, 0, math.inf),
+        "bits": (10, 1, statevec.PHASE_BITS_CAP),
     },
     "kmeans": {
-        "k": 2,
-        "d": 2,
-        "n_participants": 10000,
-        "epsilon": 0.05,
-        "rounds": 5,
-        "blob_centers": [[0.6, 0.6], [-0.6, -0.6]],
-        "blob_sigma": 0.05,
-        "privacy_check_qubits": 10,
+        "k": (2, 1, math.inf),
+        "d": (2, 1, math.inf),
+        "n_participants": (10000, 1, math.inf),
+        "epsilon": (0.05,),
+        "rounds": (5,),
+        "blob_centers": ([[0.6, 0.6], [-0.6, -0.6]],),
+        "blob_sigma": (0.05, 0.0, _FLOAT_CAP),
+        "privacy_check_qubits": (10, 1, kmeans.DENSITY_QUBITS_CAP),
     },
     "verify": {},
-}
-
-
-# inclusive [low, high] of each bounded numeric key
-_RANGES = {
-    "qpca": {
-        "n_vectors": (1, math.inf),
-        "dim": (1, math.inf),
-        "norm_bound": (0.0, math.inf),
-        "seeds": (0, math.inf),
-        "sample_bits": (1, statevec.PHASE_BITS_CAP),
-        "sample_shots": (1, math.inf),
-    },
-    "boost": {
-        "n_classifiers": (1, math.inf),
-        "dim": (1, math.inf),
-        "n_points": (2, math.inf),
-        "seeds": (0, math.inf),
-        "bits": (1, statevec.PHASE_BITS_CAP),
-    },
-    "kmeans": {
-        "k": (1, math.inf),
-        "d": (1, math.inf),
-        "n_participants": (1, math.inf),
-        "blob_sigma": (0.0, math.inf),
-        "privacy_check_qubits": (1, kmeans.DENSITY_QUBITS_CAP),
-    },
 }
 
 
 def parse_config(subcommand: str, path: str | None) -> dict:
     if subcommand not in _SCHEMAS:
         raise ValueError(f"unknown subcommand {subcommand!r}")
-    defaults = dict(_SCHEMAS[subcommand])
+    defaults = {key: entry[0] for key, entry in _SCHEMAS[subcommand].items()}
     if path is None:
         cfg = defaults
     else:
@@ -123,15 +100,27 @@ def _reject_constant(name: str):
     raise ValueError(f"{name} is not a JSON number")
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _numbers_or_lists(value: list) -> bool:
+    return all(_numbers_or_lists(v) if isinstance(v, list) else _is_number(v)
+               for v in value)
+
+
 def _check_type(key: str, value, default) -> None:
     """A value must have the JSON type of its default: an int default takes
-    an int, a float default an int or a float, a list default a list."""
+    an int, a float default an int or a float, a list default a list whose
+    elements, at any depth, are numbers or lists."""
     if isinstance(default, list):
         ok = isinstance(value, list)
+        if ok and not _numbers_or_lists(value):
+            raise TypeError(f"{key}: list elements must be numbers or lists")
     elif isinstance(default, int):
         ok = isinstance(value, int) and not isinstance(value, bool)
     else:
-        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+        ok = _is_number(value)
     if not ok:
         raise TypeError(
             f"{key}: expected {type(default).__name__}, got {type(value).__name__}"
@@ -139,16 +128,12 @@ def _check_type(key: str, value, default) -> None:
 
 
 def _validate(subcommand: str, cfg: dict) -> None:
-    for key, (low, high) in _RANGES.get(subcommand, {}).items():
-        if not low <= cfg[key] <= high:
-            raise ValueError(f"{key} must lie in [{low}, {high}]")
+    for key, (_, *bounds) in _SCHEMAS[subcommand].items():
+        if bounds and not bounds[0] <= cfg[key] <= bounds[1]:
+            raise ValueError(f"{key} must lie in [{bounds[0]}, {bounds[1]}]")
     if subcommand == "qpca":
         if cfg["lipschitz"] <= 0.0:
             raise ValueError("lipschitz must be positive")
-        if not (0.0 < cfg["median_epsilon"] < 0.25):
-            raise ValueError("median_epsilon: epsilon < 1/4 required")
-        if not (0.0 <= cfg["median_epsilon_prime"] < cfg["median_epsilon"] / 4):
-            raise ValueError("median_epsilon_prime must be < median_epsilon / 4")
         if any(not (0.0 <= a < 0.5) for a in cfg["alphas"]):
             raise ValueError("contamination fractions must lie in [0, 1/2)")
         if any(a * cfg["lipschitz"] > 1.0 for a in cfg["alphas"]):
@@ -168,7 +153,10 @@ def _validate(subcommand: str, cfg: dict) -> None:
                 f"ensemble operator side {side} exceeds the cap {linalg.DIM_CAP}"
             )
     elif subcommand == "kmeans":
-        centers = np.asarray(cfg["blob_centers"], dtype=np.float64)
+        try:
+            centers = np.asarray(cfg["blob_centers"], dtype=np.float64)
+        except OverflowError:
+            raise ValueError("blob_centers entries must fit a float") from None
         if centers.shape != (cfg["k"], cfg["d"]):
             raise ValueError(
                 f"blob_centers shape {centers.shape} must be (k, d) = "
@@ -178,8 +166,10 @@ def _validate(subcommand: str, cfg: dict) -> None:
             k=cfg["k"], d=cfg["d"], n_participants=cfg["n_participants"],
             epsilon=cfg["epsilon"], rounds=cfg["rounds"],
         )
-        budget = kmeans.rotation_budget(pc, min_p=max(2 * pc.epsilon, 1.0 / pc.k))
-        budget.check_privacy_precondition(pc.n_participants)
+        min_p = max(2 * pc.epsilon, 1.0 / pc.k)
+        # run_protocol takes a one-round budget even when no round runs
+        kmeans.rotation_budget(dataclasses.replace(pc, rounds=1), min_p)
+        kmeans.rotation_budget(pc, min_p).check_privacy_precondition(pc.n_participants)
 
 
 def run_qpca(cfg: dict, seed: int, out_dir: str) -> int:
@@ -282,7 +272,8 @@ def run_kmeans(cfg: dict, seed: int, out_dir: str) -> int:
     N = cfg["n_participants"]
     sizes = [N // k + (1 if i < N % k else 0) for i in range(k)]
     X = np.vstack(
-        [np.clip(rng.normal(c, cfg["blob_sigma"], (m, d)), -1, 1)
+        # abs: rng.normal rejects the scale -0.0, which the range admits
+        [np.clip(rng.normal(c, abs(cfg["blob_sigma"]), (m, d)), -1, 1)
          for c, m in zip(centers, sizes)]
     )
     X = X[rng.permutation(N)]
@@ -367,9 +358,11 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    # a JSONDecodeError is a ValueError; a RecursionError is a config nested
+    # deeper than the decoder or the type check can follow
     try:
         cfg = parse_config(args.subcommand, args.config)
-    except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, OSError, RecursionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     os.makedirs(args.out, exist_ok=True)

@@ -9,8 +9,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import statevec
-
 
 @dataclass(frozen=True)
 class RawDataset:
@@ -99,32 +97,20 @@ def median(values) -> float:
     return float(np.median(values))
 
 
-def _inner_products(data, mode: str) -> np.ndarray:
-    """Matrix ip[j, k] = e_k^T x_j, exactly or through the Hadamard-test
-    circuit (which requires unit real rows)."""
-    if isinstance(data, UnitDataset):
-        vecs = data.vectors
-    elif isinstance(data, RawDataset):
-        vecs = data.vectors
-    else:
-        vecs = np.asarray(data, dtype=np.float64)
-        if vecs.ndim != 2:
-            raise ValueError("expected a 2-D array of row vectors")
-    if mode == "exact":
-        return vecs.copy()
-    if mode == "hadamard":
-        ips = np.empty_like(vecs)
-        for j in range(vecs.shape[0]):
-            for k in range(vecs.shape[1]):
-                ips[j, k] = 2.0 * statevec.hadamard_test(vecs, j, k) - 1.0
-        return ips
-    raise ValueError(f"unknown inner-product mode {mode!r}")
+def _inner_products(data) -> np.ndarray:
+    """Matrix ip[j, k] = e_k^T x_j: the rows of the data, not copied."""
+    if isinstance(data, (UnitDataset, RawDataset)):
+        return data.vectors
+    vecs = np.asarray(data, dtype=np.float64)
+    if vecs.ndim != 2:
+        raise ValueError("expected a 2-D array of row vectors")
+    return vecs
 
 
-def robust_pca_matrix(data, mode: str = "exact") -> np.ndarray:
+def robust_pca_matrix(data) -> np.ndarray:
     """Median analogue of the covariance matrix:
     M[k, l] = median_j((ip_kj - median_j ip_kj) * (ip_lj - median_j ip_lj))."""
-    ips = _inner_products(data, mode)
+    ips = _inner_products(data)
     dev = ips - np.median(ips, axis=0, keepdims=True)
     dim = ips.shape[1]
     M = np.empty((dim, dim))
@@ -164,7 +150,7 @@ def robust_pca_core(raw: RawDataset) -> tuple[np.ndarray, int]:
 def classical_pca_matrix(data) -> np.ndarray:
     """Mean version of the same construction, on exact inner products: the
     biased covariance matrix."""
-    ips = _inner_products(data, "exact")
+    ips = _inner_products(data)
     dev = ips - np.mean(ips, axis=0, keepdims=True)
     return dev.T @ dev / ips.shape[0]
 

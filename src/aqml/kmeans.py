@@ -142,11 +142,17 @@ def rotation_budget(
 ) -> RotationBudget:
     """Per-participant rotation counts for the two readout phases:
     q1 = c1 R / eps for the k membership probabilities and
-    q2 = c2 R d / (min_p eps) for the centroid components."""
+    q2 = c2 R d / (min_p eps) for the centroid components.  A count that is
+    not a finite float, or whose divisor underflows to 0, is a ValueError."""
     if min_p <= cfg.epsilon:
         raise ValueError("minimum cluster probability must exceed epsilon")
-    q1 = int(math.ceil(c1 * cfg.rounds / cfg.epsilon))
-    q2 = int(math.ceil(c2 * cfg.rounds * cfg.d / (min_p * cfg.epsilon)))
+    try:
+        q1 = math.ceil(c1 * cfg.rounds / cfg.epsilon)
+        q2 = math.ceil(c2 * cfg.rounds * cfg.d / (min_p * cfg.epsilon))
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(
+            "rotation counts are not finite at this epsilon, rounds and d"
+        ) from None
     return RotationBudget(q1=q1, q2=q2)
 
 

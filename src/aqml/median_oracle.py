@@ -249,15 +249,16 @@ def quantum_median(
     values,
     cfg: MedianSearchConfig,
     rng: np.random.Generator,
-    domain: tuple = (-1.0, 1.0),
     counter: QueryCounter | None = None,
 ) -> float:
-    """Median of a list of reals estimated through the full noisy pipeline."""
+    """Median of a list of reals in [-1, 1] estimated through the full noisy
+    pipeline; the binary search runs over the fixed domain (-1, 1)."""
     if counter is None:
         counter = QueryCounter()
     failed, noise = statevec.ae_draws(cfg.p_max, cfg.delta0, rng)
     values = np.asarray(values, dtype=np.float64)[None, :]
-    return float(_noisy_medians(values, cfg, (failed[None], noise[None]), domain, counter)[0])
+    return float(_noisy_medians(values, cfg, (failed[None], noise[None]), (-1.0, 1.0),
+                                counter)[0])
 
 
 def matrix_element_oracle(

@@ -247,20 +247,6 @@ def ae_readout(success_prob: np.ndarray, epsilon0: float, failed: np.ndarray,
     return np.where(failed, np.where(success_prob > 0.5, 0.0, 1.0), value)
 
 
-def amplitude_estimate_circuit(success_prob: float, bits: int) -> np.ndarray:
-    """Exact outcome distribution of circuit-level amplitude estimation:
-    QPE on the Grover iterate applied to A|0>.  Entry y of the result is the
-    probability of reading y, whose estimate is sin^2(pi * y / 2^bits).
-
-    The Grover iterate is the rotation by 2 theta, sin^2(theta) = p, which is
-    e^{-i 2 theta sigma_y}; A|0> = (cos theta, sin theta) has overlap 1/2
-    with each eigenvector (1, +-i)/sqrt(2) of sigma_y.
-    """
-    theta = math.asin(math.sqrt(success_prob))
-    return phase_estimate_distribution(np.array([2 * theta, -2 * theta]),
-                                       np.array([0.5, 0.5]), bits)
-
-
 # eigenvalues transformed per FFT batch, so a batch holds at most this many
 # complex entries or one row of 2^bits
 _QPE_BATCH_ENTRIES = 2**16

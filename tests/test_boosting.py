@@ -180,18 +180,6 @@ def test_eigenspace_classification_on_eigenvectors():
     assert res_m.label == -1 and res_m.mass_plus <= 0.01
 
 
-def test_eigenspace_classification_sampled_mode():
-    spec = two_reflections_spec()
-    C = boosting.ensemble_operator(spec)
-    dec = linalg.eig_hermitian(C)
-    plus = dec.eigenvectors[:, np.argmax(dec.eigenvalues)]
-    res = boosting.classify_by_eigenspace(
-        plus, C, bits=10, shots=2000, rng=stream(0, "boost", "shot")
-    )
-    assert res.label == 1
-    assert res.mass_plus >= 0.95
-
-
 def test_classify_by_mean_matches_expectation_sign():
     spec = two_reflections_spec()
     C = boosting.ensemble_operator(spec)

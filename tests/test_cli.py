@@ -9,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from aqml import boosting, cli, embedding, linalg
 
@@ -29,13 +31,6 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     rc = cli.main(["qpca", "--config", cfg, "--out", str(tmp_path)])
     assert rc == 2
     assert "config error" in capsys.readouterr().err
-
-
-def test_inadmissible_epsilon_exits_2(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, "eps.json", {"median_epsilon": 0.3})
-    rc = cli.main(["qpca", "--config", cfg, "--out", str(tmp_path)])
-    assert rc == 2
-    assert "epsilon < 1/4" in capsys.readouterr().err
 
 
 def test_kmeans_budget_exceeding_population_exits_2(tmp_path, capsys):
@@ -87,6 +82,19 @@ def test_kmeans_nonpositive_count_exits_2_naming_the_key(tmp_path, capsys, key):
     ("kmeans", {"privacy_check_qubits": 20}),
     ("kmeans", {"blob_centers": [[float("inf"), 0.6], [-0.6, -0.6]]}),
     ("boost", {"dim": 5000, "seeds": 1}),
+    ("qpca", {"median_epsilon": 0.05}),
+    ("qpca", {"sample_shots": 2**63, "seeds": 1}),
+    ("qpca", {"norm_bound": 1e200, "seeds": 1}),
+    ("qpca", {"lipschitz": 10**400}),
+    ("qpca", {"alphas": [False], "seeds": 1}),
+    ("boost", {"alphas": [0.1, False]}),
+    ("kmeans", {"blob_centers": [[0.6, True], [-0.6, -0.6]]}),
+    ("kmeans", {"blob_centers": [[0.6, 10**400], [-0.6, -0.6]]}),
+    ("kmeans", {"epsilon": 1e-320}),
+    ("kmeans", {"epsilon": 1e-320, "rounds": 0}),
+    ("kmeans", {"epsilon": 5e-324, "rounds": 0}),
+    ("kmeans", {"rounds": 10**400}),
+    ("kmeans", {"blob_sigma": 10**400}),
 ])
 def test_malformed_config_exits_2(tmp_path, capsys, sub, payload):
     cfg = write_cfg(tmp_path, "bad.json", payload)
@@ -94,6 +102,142 @@ def test_malformed_config_exits_2(tmp_path, capsys, sub, payload):
     assert rc == 2
     assert "config error:" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "out")
+
+
+@pytest.mark.parametrize("depth", [900, 100000])
+def test_deeply_nested_config_exits_2(tmp_path, capsys, depth):
+    path = tmp_path / "deep.json"
+    path.write_text('{"alphas": ' + "[" * depth + "]" * depth + "}")
+    rc = cli.main(["qpca", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
+
+
+def test_readme_config_table_matches_schemas():
+    # every key of every subcommand, with the default and range the CLI uses
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    rows = {}
+    for line in readme.read_text().splitlines():
+        cells = [c.strip().strip("`") for c in line.strip().strip("|").split("|")]
+        if len(cells) == 5 and cells[0] in cli._SCHEMAS:
+            rows[cells[0], cells[1]] = (cells[2], cells[3])
+    want = {
+        (sub, key): (json.dumps(default), "[{}, {}]".format(*bounds) if bounds else "")
+        for sub, schema in cli._SCHEMAS.items()
+        for key, (default, *bounds) in schema.items()
+    }
+    assert rows == want
+
+
+def test_kmeans_negative_zero_sigma_runs_as_zero(tmp_path, capsys):
+    # the range [0, 1e150] admits -0.0, which rng.normal rejects as a scale
+    outs = {}
+    for sigma in (-0.0, 0.0):
+        cfg = write_cfg(tmp_path, "k.json", {"blob_sigma": sigma, "rounds": 2})
+        outs[sigma] = tmp_path / repr(sigma)
+        assert cli.main(["kmeans", "--config", cfg, "--out", str(outs[sigma])]) == 0
+    for name in ("kmeans_trajectory.csv", "kmeans_privacy.csv"):
+        assert (read_artifact(str(outs[-0.0]), name)
+                == read_artifact(str(outs[0.0]), name))
+
+
+# JSON values for the exit-code properties: huge and negative ints, subnormal,
+# signed-zero and near-overflow floats, bools, strings, null, nested lists and
+# objects
+_edges = st.sampled_from([
+    2**31, 2**63 - 1, 2**63, -2**63, 10**400, -10**400, 0.0, -0.0, 5e-324, 1e-320,
+    2.2250738585072014e-308, 1e150, 1e200, 1e308, -1e308, 1.7976931348623157e308,
+])
+_ints = st.one_of(_edges.filter(lambda v: isinstance(v, int)),
+                  st.integers(-3, 10), st.integers())
+_numbers = st.one_of(_edges, st.integers(-3, 10), st.integers(), st.floats(0.0, 1.0),
+                     st.floats(allow_nan=False, allow_infinity=False))
+_json = st.recursive(
+    st.one_of(_numbers, st.booleans(), st.none(), st.text(max_size=4)),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=12,
+)
+
+
+def _mostly(common, rare=_json):
+    """Values from `common`, and from `rare` one time in ten."""
+    return st.sampled_from(range(10)).flatmap(lambda i: rare if i == 0 else common)
+
+
+def _value_for(default):
+    if isinstance(default, list):
+        return _mostly(st.lists(_value_for(default[0]), max_size=4))
+    return _mostly(_ints if isinstance(default, int) else _numbers)
+
+
+def _defaults(sub):
+    return cli.parse_config(sub, None)
+
+
+@st.composite
+def _configs(draw, sub):
+    keys = sorted(_defaults(sub)) + ["not_a_key"]
+    cfg = {key: draw(_value_for(_defaults(sub).get(key, 0)))
+           for key in draw(st.sets(st.sampled_from(keys), max_size=3))}
+    return draw(_mostly(st.just(cfg)))
+
+
+@pytest.mark.parametrize("sub", ["qpca", "boost", "kmeans"])
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_parse_config_returns_or_raises_config_error(tmp_path, sub, data):
+    payload = data.draw(_configs(sub))
+    path = write_cfg(tmp_path, "cfg.json", payload)
+    try:
+        cfg = cli.parse_config(sub, path)
+    except (ValueError, TypeError):
+        return
+    assert sorted(cfg) == sorted(_defaults(sub))
+
+
+# upper ends of the keys that set the size of a run
+_SIZE_CAPS = {
+    "qpca": {"n_vectors": 9, "dim": 4, "seeds": 1},
+    "boost": {"n_classifiers": 30, "dim": 4, "n_points": 20, "seeds": 1},
+    "kmeans": {"k": 3, "d": 3, "n_participants": 3000, "privacy_check_qubits": 8},
+}
+
+
+@st.composite
+def _small_configs(draw, sub):
+    cfg = {}
+    for key, default in _defaults(sub).items():
+        if not draw(st.booleans()):
+            continue
+        cap = _SIZE_CAPS[sub].get(key)
+        if cap is None:
+            cfg[key] = draw(_value_for(default))
+        else:  # any JSON value but an int above the cap
+            ints = _mostly(st.integers(1, cap), st.integers(max_value=cap))
+            cfg[key] = draw(_mostly(ints, _json.filter(
+                lambda v: type(v) is not int or v <= cap)))
+    k, d = cfg.get("k", 2), cfg.get("d", 2)
+    if sub == "kmeans" and type(k) is type(d) is int and k >= 1 and d >= 1:
+        # mostly centers of the right shape, with any entries
+        shaped = st.lists(st.lists(_numbers, min_size=d, max_size=d),
+                          min_size=k, max_size=k)
+        cfg["blob_centers"] = draw(_mostly(shaped, _value_for([[0.0]])))
+    return cfg
+
+
+@pytest.mark.parametrize("sub", ["qpca", "boost", "kmeans"])
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_main_keeps_exit_code_contract(tmp_path, sub, data):
+    # 0 ok, 1 bound violated, 2 bad config; never 3 or an exception
+    payload = data.draw(_small_configs(sub))
+    path = write_cfg(tmp_path, "cfg.json", payload)
+    rc = cli.main([sub, "--config", path, "--out", str(tmp_path / "out")])
+    assert rc in (0, 1, 2)
 
 
 @pytest.mark.parametrize("payload", [{"dim": 4097, "n_vectors": 3},

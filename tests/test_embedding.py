@@ -118,15 +118,6 @@ def test_robust_pca_symmetric_and_permutation_invariant():
     assert np.allclose(embedding.robust_pca_matrix(vecs[perm]), M, atol=1e-14)
 
 
-def test_robust_pca_hadamard_mode_matches_exact():
-    rng = stream(0, "emb", "had")
-    vecs = rng.normal(size=(5, 4))
-    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-    exact = embedding.robust_pca_matrix(vecs, mode="exact")
-    circuit = embedding.robust_pca_matrix(vecs, mode="hadamard")
-    assert np.max(np.abs(exact - circuit)) <= 1e-9
-
-
 def test_classical_pca_single_vector():
     assert np.allclose(embedding.classical_pca_matrix(np.array([[1.0, 2.0]])), 0.0)
 

@@ -72,6 +72,30 @@ def test_protocol_config_rejects_nonpositive_dim(d):
     assert len(res.trajectory) == 2
 
 
+@pytest.mark.parametrize("eps,rounds", [(1e-320, 1), (5e-324, 0), (0.05, 10**400)])
+def test_rotation_budget_rejects_counts_that_are_not_finite(eps, rounds):
+    # 8 / 1e-320 overflows a float, min_p * 5e-324 underflows to 0, and
+    # 10^400 rounds do not fit a float
+    cfg = kmeans.ProtocolConfig(k=2, d=2, n_participants=100, epsilon=eps,
+                                rounds=rounds)
+    with pytest.raises(ValueError, match="not finite"):
+        kmeans.rotation_budget(cfg, min_p=0.5)
+
+
+@pytest.mark.parametrize("eps,rounds,d,min_p", [
+    (0.05, 5, 2, 0.5), (0.05, 1, 2, 0.5), (0.1, 3, 8, 1 / 3), (1e-300, 2, 3, 0.5),
+    (0.05, 1, 2, 0.05 * 1.0001),
+])
+def test_rotation_budget_counts_unchanged(eps, rounds, d, min_p):
+    # the counts of the plain formula wherever it is finite
+    cfg = kmeans.ProtocolConfig(k=2, d=d, n_participants=10, epsilon=eps,
+                                rounds=rounds)
+    budget = kmeans.rotation_budget(cfg, min_p)
+    c = kmeans.AE_CONSTANT
+    assert budget.q1 == int(math.ceil(c * rounds / eps))
+    assert budget.q2 == int(math.ceil(c * rounds * d / (min_p * eps)))
+
+
 def test_rotation_budget_rejects_small_min_p():
     cfg = kmeans.ProtocolConfig(k=2, d=2, n_participants=100, epsilon=0.1)
     with pytest.raises(ValueError):
