@@ -67,7 +67,6 @@ _SCHEMAS = {
         "rounds": (5,),
         "blob_centers": ([[0.6, 0.6], [-0.6, -0.6]],),
         "blob_sigma": (0.05, 0.0, _FLOAT_CAP),
-        "privacy_check_qubits": (10, 1, kmeans.DENSITY_QUBITS_CAP),
     },
     "verify": {},
 }
@@ -166,6 +165,13 @@ def _validate(subcommand: str, cfg: dict) -> None:
             k=cfg["k"], d=cfg["d"], n_participants=cfg["n_participants"],
             epsilon=cfg["epsilon"], rounds=cfg["rounds"],
         )
+        # a cluster whose coarse read (within epsilon/4) falls to epsilon is
+        # reseeded as empty, so the smallest blob must stay above 1.25 epsilon
+        share = (pc.n_participants // pc.k) / pc.n_participants
+        if 1.25 * pc.epsilon > share:
+            raise ValueError(
+                f"1.25 * epsilon must be <= the smallest blob's share {share}"
+            )
         min_p = max(2 * pc.epsilon, 1.0 / pc.k)
         # run_protocol takes a one-round budget even when no round runs
         kmeans.rotation_budget(dataclasses.replace(pc, rounds=1), min_p)
@@ -301,15 +307,10 @@ def run_kmeans(cfg: dict, seed: int, out_dir: str) -> int:
         traj_rows,
     )
     priv_rows = []
-    if result.budget.total < N:
-        rep = kmeans.privacy_analysis(
-            result.budget, N,
-            check_qubits=(cfg["privacy_check_qubits"]
-                          if result.budget.total <= 2**cfg["privacy_check_qubits"]
-                          else None),
-        )
+    rep = result.privacy
+    if rep is not None:
         priv_rows.append(
-            [rep.q_total - result.budget.q2, result.budget.q2, N,
+            [result.budget.q1, result.budget.q2, N,
              rep.p_opt_exact, rep.p_opt_closed_form, rep.bound]
         )
     _write_csv(

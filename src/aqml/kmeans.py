@@ -305,7 +305,8 @@ DENSITY_QUBITS_CAP = 12
 def privacy_density_matrix(q_total: int, n_participants: int, qubits: int) -> float:
     """Exact optimum by trace distance of the pure states before and after
     the participant's rotations, on an explicit `qubits`-qubit register
-    prepared in the extremal superposition."""
+    prepared in the extremal superposition.  The rotations act on one qubit,
+    so `qubits` = 1 gives the optimum and more qubits add idle space."""
     if qubits > DENSITY_QUBITS_CAP:
         raise ValueError(f"density-matrix check capped at {DENSITY_QUBITS_CAP} qubits")
     dim = 2**qubits
@@ -322,20 +323,16 @@ def privacy_density_matrix(q_total: int, n_participants: int, qubits: int) -> fl
     return 0.5 + 0.25 * linalg.trace_distance(rho, rho_u)
 
 
-def privacy_analysis(
-    budget: RotationBudget, n_participants: int, check_qubits: int | None = 10
-) -> PrivacyReport:
+def privacy_analysis(budget: RotationBudget, n_participants: int) -> PrivacyReport:
+    """Closed-form optimum, checked against the explicit state of the
+    participant's qubit."""
     budget.check_privacy_precondition(n_participants)
     q = budget.total
     closed = privacy_closed_form(q, n_participants)
     bound = q / (2.0 * n_participants)  # |sin x| <= x envelope
-    exact = closed
-    if check_qubits is not None and q > 0:
-        exact = privacy_density_matrix(q, n_participants, check_qubits)
-        if abs(exact - closed) > 1e-9:
-            raise AssertionError(
-                "density-matrix optimum disagrees with the closed form"
-            )
+    exact = privacy_density_matrix(q, n_participants, 1)
+    if abs(exact - closed) > 1e-9:
+        raise AssertionError("density-matrix optimum disagrees with the closed form")
     return PrivacyReport(
         p_opt_exact=exact, p_opt_closed_form=closed, bound=bound,
         n_participants=n_participants, q_total=q,
@@ -407,7 +404,7 @@ def run_protocol(
     budget = RotationBudget(q1=q1, q2=q2)
     privacy = None
     if budget.total < cfg.n_participants:
-        privacy = privacy_analysis(budget, cfg.n_participants, check_qubits=None)
+        privacy = privacy_analysis(budget, cfg.n_participants)
     return ProtocolResult(
         trajectory=trajectory, probs=probs_hist, budget=budget, privacy=privacy,
         converged=converged, privacy_exhausted=exhausted,

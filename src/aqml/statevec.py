@@ -1,107 +1,20 @@
-"""Small state-vector simulator: gates, the Hadamard-test inner-product
-circuit, the amplitude-estimation contract, and phase estimation read from
-the spectrum of the evolved Hamiltonian.
-
-Qubit 0 is the most significant bit of a basis index, so |10> means qubit 0
-in state 1 and qubit 1 in state 0.
+"""The quantum steps read out in closed or branch form: the Hadamard-test
+inner-product circuit on its two ancilla branches, the amplitude-estimation
+contract, and phase estimation read from the spectrum of the evolved
+Hamiltonian.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .util import QueryCounter
 
-QUBIT_CAP = 24
 PHASE_BITS_CAP = 16
 
-H_GATE = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2)
-X_GATE = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-
-
-@dataclass
-class QuantumRegister:
-    state: np.ndarray
-    n_qubits: int
-
-    def __post_init__(self):
-        self.state = np.asarray(self.state, dtype=np.complex128)
-        if self.n_qubits < 1 or self.n_qubits > QUBIT_CAP:
-            raise ValueError(f"n_qubits must be in [1, {QUBIT_CAP}]")
-        if self.state.shape != (2**self.n_qubits,):
-            raise ValueError("state length does not match qubit count")
-        nrm = np.linalg.norm(self.state)
-        if abs(nrm - 1.0) > 1e-12:
-            raise ValueError(f"state not normalized: |psi| = {nrm}")
-
-    @classmethod
-    def zeros(cls, n_qubits: int) -> "QuantumRegister":
-        state = np.zeros(2**n_qubits, dtype=np.complex128)
-        state[0] = 1.0
-        return cls(state, n_qubits)
-
-    @classmethod
-    def basis(cls, n_qubits: int, index: int) -> "QuantumRegister":
-        state = np.zeros(2**n_qubits, dtype=np.complex128)
-        state[index] = 1.0
-        return cls(state, n_qubits)
-
-    @classmethod
-    def from_vector(cls, vec) -> "QuantumRegister":
-        vec = np.asarray(vec, dtype=np.complex128)
-        n = int(round(math.log2(len(vec))))
-        if 2**n != len(vec):
-            raise ValueError("state vector length must be a power of two")
-        return cls(vec, n)
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.state) ** 2
-
-
-def apply_unitary(reg: QuantumRegister, U, targets, controls=()) -> QuantumRegister:
-    """Apply U on `targets`, conditioned on every qubit in `controls` being 1."""
-    targets = list(targets)
-    controls = list(controls)
-    n = reg.n_qubits
-    if len(set(targets + controls)) != len(targets) + len(controls):
-        raise ValueError("targets and controls must be disjoint")
-    for q in targets + controls:
-        if not 0 <= q < n:
-            raise ValueError(f"qubit index {q} out of range for {n} qubits")
-    U = np.asarray(U, dtype=np.complex128)
-    if U.shape != (2 ** len(targets), 2 ** len(targets)):
-        raise ValueError("unitary dimension does not match target count")
-
-    psi = reg.state.reshape((2,) * n)
-    rest = [q for q in range(n) if q not in targets and q not in controls]
-    perm = controls + targets + rest
-    psi = psi.transpose(perm).reshape(2 ** len(controls), 2 ** len(targets), -1)
-    out = psi.copy()
-    out[-1] = U @ psi[-1]  # block where all controls are 1
-    out = out.reshape((2,) * n).transpose(np.argsort(perm)).reshape(-1)
-    nrm = np.linalg.norm(out)
-    if abs(nrm - 1.0) > 1e-10:
-        raise ValueError("gate application broke normalization; U not unitary?")
-    return QuantumRegister(out / nrm, n)
-
-
-def _n_qubits_for(dim: int) -> int:
-    n = max(1, int(math.ceil(math.log2(dim))))
-    if 2**n < dim:
-        n += 1
-    return n
-
-
-def _pad_to_power_of_two(vec: np.ndarray) -> np.ndarray:
-    n = _n_qubits_for(len(vec))
-    if 2**n == len(vec):
-        return vec
-    out = np.zeros(2**n, dtype=vec.dtype)
-    out[: len(vec)] = vec
-    return out
+H_GATE = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
 
 
 def state_prep_unitary(vec: np.ndarray) -> np.ndarray:
@@ -117,22 +30,17 @@ def state_prep_unitary(vec: np.ndarray) -> np.ndarray:
     return np.eye(len(vec)) - 2.0 * np.outer(w, w) / nw2
 
 
-def xor_permutation(n_qubits: int, k: int) -> np.ndarray:
-    """Permutation matrix |x> -> |x XOR k> on an n-qubit register."""
-    dim = 2**n_qubits
-    P = np.zeros((dim, dim))
-    for x in range(dim):
-        P[x ^ k, x] = 1.0
-    return P
-
-
 def hadamard_test(vectors, j: int, k: int) -> float:
     """Exact P(0) of the one-ancilla inner-product circuit.
 
     `vectors` is the state-preparation oracle: row j is the real unit vector
-    |v_j>.  The circuit is: H on the ancilla, controlled preparation of
-    |v_j>, controlled XOR against the basis index k, H on the ancilla.
-    Returns P(ancilla = 0) = (1 + <k|v_j>) / 2.
+    |v_j>, zero-padded to 2^n >= 2 entries.  The circuit is: H on the
+    ancilla, controlled preparation of |v_j>, controlled XOR against the
+    basis index k, H on the ancilla.  Returns P(ancilla = 0) =
+    (1 + <k|v_j>) / 2.
+
+    The register is held as two rows, the data register on ancilla branch 0
+    and on branch 1; H mixes the rows and each controlled gate acts on row 1.
     """
     vectors = np.asarray(vectors)
     if np.max(np.abs(np.imag(vectors.astype(np.complex128)))) > 1e-12:
@@ -140,19 +48,19 @@ def hadamard_test(vectors, j: int, k: int) -> float:
     v = np.real(vectors[j]).astype(np.float64)
     if abs(np.linalg.norm(v) - 1.0) > 1e-10:
         raise ValueError("training vector must be unit norm")
-    v = _pad_to_power_of_two(v)
-    if not 0 <= k < len(v):
+    dim = max(2, 1 << (len(v) - 1).bit_length())
+    if not 0 <= k < dim:
         raise ValueError("basis index out of range")
-    n_data = int(round(math.log2(len(v))))
+    padded = np.zeros(dim)
+    padded[: len(v)] = v
 
-    reg = QuantumRegister.zeros(1 + n_data)
-    data = list(range(1, 1 + n_data))
-    reg = apply_unitary(reg, H_GATE, [0])
-    reg = apply_unitary(reg, state_prep_unitary(v), data, controls=[0])
-    reg = apply_unitary(reg, xor_permutation(n_data, k), data, controls=[0])
-    reg = apply_unitary(reg, H_GATE, [0])
-    probs = reg.probabilities()
-    return float(np.sum(probs[: 2**n_data]))
+    reg = np.zeros((2, dim))
+    reg[0, 0] = 1.0
+    reg = H_GATE @ reg
+    reg[1] = state_prep_unitary(padded) @ reg[1]
+    reg[1] = reg[1, np.arange(dim) ^ k]  # |x> -> |x XOR k>
+    reg = H_GATE @ reg
+    return float(np.sum(reg[0] ** 2))
 
 
 # --- amplitude estimation -------------------------------------------------

@@ -91,7 +91,7 @@ def _check_ghz(rng):
 
 
 def _check_privacy(rng):
-    rep = kmeans.privacy_analysis(kmeans.RotationBudget(4, 6), 100, check_qubits=8)
+    rep = kmeans.privacy_analysis(kmeans.RotationBudget(4, 6), 100)
     ok = abs(rep.p_opt_exact - rep.p_opt_closed_form) <= 1e-9
     ok = ok and rep.p_opt_exact - 0.5 <= rep.bound + 1e-12
     return ok, f"p_opt {rep.p_opt_exact:.6f}, bound 1/2 + {rep.bound:.4f}"

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from aqml import boosting, cli, embedding, linalg
+from aqml import boosting, cli, embedding, kmeans, linalg
 
 
 def write_cfg(tmp_path, name, payload):
@@ -95,6 +95,11 @@ def test_kmeans_nonpositive_count_exits_2_naming_the_key(tmp_path, capsys, key):
     ("kmeans", {"epsilon": 5e-324, "rounds": 0}),
     ("kmeans", {"rounds": 10**400}),
     ("kmeans", {"blob_sigma": 10**400}),
+    ("kmeans", {"epsilon": 0.5}),
+    ("kmeans", {"epsilon": 0.9}),
+    ("kmeans", {"n_participants": 10001, "epsilon": 0.4}),
+    ("kmeans", {"k": 3, "d": 1, "blob_centers": [[0.6], [0.0], [-0.6]],
+                "epsilon": 0.3}),
 ])
 def test_malformed_config_exits_2(tmp_path, capsys, sub, payload):
     cfg = write_cfg(tmp_path, "bad.json", payload)
@@ -202,7 +207,7 @@ def test_parse_config_returns_or_raises_config_error(tmp_path, sub, data):
 _SIZE_CAPS = {
     "qpca": {"n_vectors": 9, "dim": 4, "seeds": 1},
     "boost": {"n_classifiers": 30, "dim": 4, "n_points": 20, "seeds": 1},
-    "kmeans": {"k": 3, "d": 3, "n_participants": 3000, "privacy_check_qubits": 8},
+    "kmeans": {"k": 3, "d": 3, "n_participants": 3000},
 }
 
 
@@ -388,6 +393,30 @@ def test_default_runs_build_and_decompose_each_operator_once(
         assert counts["robust_pca_core"] <= seeds * (1 + alphas)
         assert counts["eig_hermitian"] <= seeds
         assert "_reflection_sum" not in counts
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_kmeans_epsilon_at_the_blob_share_limit_runs(tmp_path, capsys, seed):
+    # 1.25 * 0.4 equals the share 1/2 of each default blob
+    cfg = write_cfg(tmp_path, "k.json", {"epsilon": 0.4})
+    assert cli.main(["kmeans", "--config", cfg, "--seed", str(seed),
+                     "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_kmeans_privacy_is_checked_once_on_every_run(tmp_path, capsys, monkeypatch,
+                                                      seed):
+    # the written optimum is the explicit one-qubit state's, on every run
+    counts = {}
+    _count_calls(monkeypatch, kmeans, "privacy_analysis", counts)
+    assert cli.main(["kmeans", "--seed", str(seed), "--out", str(tmp_path)]) == 0
+    assert counts == {"privacy_analysis": 1}
+    lines = read_artifact(str(tmp_path), "kmeans_privacy.csv").decode().splitlines()
+    row = dict(zip(lines[1].split(","), lines[2].split(",")))
+    q, N = int(row["q1"]) + int(row["q2"]), int(row["N"])
+    exact = float(row["p_opt_exact"])
+    assert exact == kmeans.privacy_density_matrix(q, N, 1)
+    assert abs(exact - float(row["p_opt_closed"])) <= 1e-9
 
 
 def test_parser_is_built_once_across_calls(tmp_path, capsys, monkeypatch):

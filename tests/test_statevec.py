@@ -1,5 +1,4 @@
-"""State-vector simulator: gates, Hadamard test, amplitude and phase
-estimation."""
+"""Hadamard test, amplitude and phase estimation."""
 
 import math
 
@@ -10,48 +9,6 @@ from hypothesis import strategies as st
 
 from aqml import statevec
 from aqml.util import QueryCounter, stream
-
-
-def test_x_gate_flips():
-    reg = statevec.QuantumRegister.zeros(1)
-    out = statevec.apply_unitary(reg, statevec.X_GATE, [0])
-    assert np.allclose(out.state, [0.0, 1.0])
-
-
-def test_cnot_truth_table():
-    reg = statevec.QuantumRegister.basis(2, 0b10)  # qubit 0 (control) is 1
-    out = statevec.apply_unitary(reg, statevec.X_GATE, [1], controls=[0])
-    assert np.allclose(out.state, statevec.QuantumRegister.basis(2, 0b11).state)
-    # control 0 leaves the target alone
-    reg = statevec.QuantumRegister.basis(2, 0b00)
-    out = statevec.apply_unitary(reg, statevec.X_GATE, [1], controls=[0])
-    assert np.allclose(out.state, statevec.QuantumRegister.basis(2, 0b00).state)
-
-
-def test_hadamard_involution():
-    reg = statevec.QuantumRegister.zeros(1)
-    out = statevec.apply_unitary(reg, statevec.H_GATE, [0])
-    out = statevec.apply_unitary(out, statevec.H_GATE, [0])
-    assert np.allclose(out.state, [1.0, 0.0], atol=1e-12)
-
-
-def test_apply_unitary_rejects_overlap_and_mismatch():
-    reg = statevec.QuantumRegister.zeros(2)
-    with pytest.raises(ValueError):
-        statevec.apply_unitary(reg, statevec.X_GATE, [0], controls=[0])
-    with pytest.raises(ValueError):
-        statevec.apply_unitary(reg, np.eye(4), [0])
-
-
-def test_norm_preservation():
-    rng = stream(0, "sv", "norm")
-    vec = rng.normal(size=8) + 1j * rng.normal(size=8)
-    vec /= np.linalg.norm(vec)
-    reg = statevec.QuantumRegister.from_vector(vec)
-    for _ in range(10):
-        q = int(rng.integers(0, 3))
-        reg = statevec.apply_unitary(reg, statevec.H_GATE, [q])
-        assert abs(np.linalg.norm(reg.state) - 1.0) <= 1e-12
 
 
 def test_hadamard_test_perfect_overlap():
@@ -77,14 +34,22 @@ def test_hadamard_test_rejects_complex():
 
 
 def test_hadamard_test_random_vectors():
+    # every dim from 1 to 16: a vector is zero-padded to 2^n >= 2 entries, a
+    # padding index reads overlap 0, and an index past the padding is rejected
     rng = stream(0, "sv", "ht")
-    for _ in range(20):
-        dim = int(rng.integers(2, 9))
-        v = rng.normal(size=dim)
-        v /= np.linalg.norm(v)
-        k = int(rng.integers(0, dim))
-        p0 = statevec.hadamard_test(v[None, :], 0, k)
-        assert abs(p0 - (1.0 + v[k]) / 2.0) <= 1e-10
+    for dim in range(1, 17):
+        padded = next(p for p in (2, 4, 8, 16) if p >= dim)
+        for _ in range(5):
+            v = rng.normal(size=dim)
+            v /= np.linalg.norm(v)
+            k = int(rng.integers(0, dim))
+            p0 = statevec.hadamard_test(v[None, :], 0, k)
+            assert abs(p0 - (1.0 + v[k]) / 2.0) <= 1e-10
+        for k in range(dim, padded):
+            assert abs(statevec.hadamard_test(v[None, :], 0, k) - 0.5) <= 1e-12
+        for k in (padded, padded + 3, -1):
+            with pytest.raises(ValueError):
+                statevec.hadamard_test(v[None, :], 0, k)
 
 
 def test_amplitude_estimate_zero_success_prob():
