@@ -58,34 +58,31 @@ class UnitDataset:
 
 
 def embed(raw: RawDataset) -> UnitDataset:
+    """Row j of `vectors` is direction_j (x) tag_j, with direction_j =
+    x_j / ||x_j|| (e_0 where x_j = 0 or R = 0, whose weight is then 0) and
+    tag_j = (||x_j|| / R) e_0 + sqrt(1 - (||x_j|| / R)^2) e_(1+j) (e_(1+j)
+    alone when R = 0); `dagger_vectors` takes e_(1+N_v+j) in place of e_(1+j).
+    """
     N, Nv, R = raw.dim, raw.count, raw.norm_bound
     tag_dim = 2 * Nv + 1
-    out = np.zeros((Nv, N * tag_dim))
-    out_dag = np.zeros((Nv, N * tag_dim))
-    for j, x in enumerate(raw.vectors):
-        nrm = np.linalg.norm(x)
-        direction = np.zeros(N)
-        if nrm > 0:
-            direction = x / nrm
-        else:
-            direction[0] = 1.0  # weight on this factor is zero anyway
-        if R == 0:
-            tag = np.zeros(tag_dim)
-            tag[1 + j] = 1.0
-            tag_dag = np.zeros(tag_dim)
-            tag_dag[1 + Nv + j] = 1.0
-            direction = np.zeros(N)
-            direction[0] = 1.0
-        else:
-            w = nrm / R
-            tag = np.zeros(tag_dim)
-            tag[0] = w
-            tag[1 + j] = math.sqrt(max(0.0, 1.0 - w * w))
-            tag_dag = np.zeros(tag_dim)
-            tag_dag[0] = w
-            tag_dag[1 + Nv + j] = math.sqrt(max(0.0, 1.0 - w * w))
-        out[j] = np.kron(direction, tag)
-        out_dag[j] = np.kron(direction, tag_dag)
+    rows = np.arange(Nv)
+    # vecdot takes each row's dot product as np.linalg.norm does for one row
+    norms = np.sqrt(np.vecdot(raw.vectors, raw.vectors))
+    direction = np.zeros((Nv, N))
+    direction[:, 0] = 1.0
+    weight = np.zeros(Nv)
+    if R != 0:
+        live = norms > 0
+        direction[live] = raw.vectors[live] / norms[live, None]
+        weight = norms / R
+    rest = np.sqrt(np.maximum(0.0, 1.0 - weight * weight))
+    tag = np.zeros((Nv, tag_dim))
+    tag[:, 0] = weight
+    tag_dag = tag.copy()
+    tag[rows, 1 + rows] = rest
+    tag_dag[rows, 1 + Nv + rows] = rest
+    out, out_dag = ((direction[:, :, None] * t[:, None, :]).reshape(Nv, N * tag_dim)
+                    for t in (tag, tag_dag))
     return UnitDataset(vectors=out, dagger_vectors=out_dag, source=raw)
 
 

@@ -13,6 +13,15 @@ taken as a fraction with denominator at most 2^60.  q need not be a power
 of two (it is odd at gamma = 0.05 in `matrix_element_oracle`), so the
 endpoints are not dyadic; midpoints stay exact all the same, and each is
 rounded to a float once, by int / int division.
+
+The endpoints live in a table of search states: a state is one exact
+(left, right) pair, and each lane holds the index of its state.  A step
+moves a state in one of three ways (pin both endpoints at the midpoint,
+raise left, lower right), so lanes that started together and made the same
+moves share a state, and the integer arithmetic runs once per distinct
+state, not once per lane.  After each step the lanes are regrouped by
+state * 3 + move.  The first step has one state, step t at most 3^t, and
+never more than the lanes.
 """
 
 from __future__ import annotations
@@ -92,7 +101,7 @@ class _Lockstep(NamedTuple):
     values: np.ndarray  # median estimates, (lanes,)
     mids: np.ndarray  # normalized midpoint of every step, (p_max, lanes)
     estimates: np.ndarray  # CDF readout of every step, (p_max, lanes)
-    intervals: list  # the first lane's (left, right) after every step
+    intervals: list  # the first lane's integer (left, right) after every step
     denom: int  # of the endpoints, which are integers
 
 
@@ -101,6 +110,16 @@ def _lockstep_search(readout, lanes: int, cfg: MedianSearchConfig, domain: tuple
 
     readout(step, y) returns the CDF estimates at the lanes' query points y,
     a float array of shape (lanes,).
+
+    `states` is the table of distinct exact (left, right) endpoint pairs and
+    sid[i] is the entry of lane i.  Each step takes the midpoint of every
+    state, reads every lane out at its state's midpoint and gives the lane a
+    move: 0 pins both endpoints near the midpoint, 1 raises left, 2 lowers
+    right.  The next table holds one state per distinct key
+    sid * 3 + move, in increasing key order, and each lane takes the index
+    of its key, so every lane holds the endpoints its own one-lane search
+    would.  The integer arithmetic thus runs once per distinct state: lanes
+    with the same moves so far share one.
     """
     lo, hi = domain
     if not hi > lo:
@@ -113,29 +132,37 @@ def _lockstep_search(readout, lanes: int, cfg: MedianSearchConfig, domain: tuple
     # every endpoint and midpoint is an integer over this denominator
     denom = widen.denominator << (cfg.p_max + 1)
     step_w = widen.numerator << (cfg.p_max + 1)
-    left = np.full(lanes, 0, dtype=object)
-    right = np.full(lanes, denom, dtype=object)
+    states = [(0, denom)]
+    sid = np.zeros(lanes, dtype=np.intp)
     mids = np.empty((cfg.p_max, lanes))
     ests = np.empty((cfg.p_max, lanes))
     intervals = []
     for step in range(cfg.p_max):
-        mid = (left + right) // 2
-        mids[step] = mid / denom  # int / int rounds correctly
+        centre = [(left + right) // 2 for left, right in states]
+        mids[step] = np.array([c / denom for c in centre])[sid]  # int / int rounds correctly
         est = ests[step] = readout(step, lo + mids[step] * (hi - lo))
         # a readout within eps0 of 1/2 certifies the midpoint as a
         # near-median: in the success branch |F(mid) - 1/2| <= 2 eps0, so
         # the median lies within L * 2 eps0 = eps' + L eps0 of mid.  Pinning
         # the interval there keeps degenerate CDFs (flat at 1/2) from
-        # random-walking.
-        pinned = np.abs(est - 0.5) <= cfg.epsilon0
-        below = est < 0.5
-        up = pinned | below
-        left[up] = np.maximum(mid[up] - step_w, 0)
-        up = pinned | ~below
-        right[up] = np.minimum(mid[up] + step_w, denom)
-        intervals.append((left[:1].copy(), right[:1].copy()))
-    mid = ((left + right) // 2 / denom).astype(np.float64)
-    return _Lockstep(lo + mid * (hi - lo), mids, ests, intervals, denom)
+        # random-walking.  Otherwise a readout below 1/2 raises left (move 1)
+        # and any other, NaN included, lowers right (move 2).
+        key = 3 * sid + (2 - (est < 0.5)) * ~(np.abs(est - 0.5) <= cfg.epsilon0)
+        taken = np.flatnonzero(np.bincount(key))  # the distinct keys, ascending
+        sid = np.searchsorted(taken, key)
+        moved = []
+        for k in taken.tolist():
+            (left, right), mid, how = states[k // 3], centre[k // 3], k % 3
+            if how != 2:
+                left = max(mid - step_w, 0)
+            if how != 1:
+                right = min(mid + step_w, denom)
+            moved.append((left, right))
+        states = moved
+        if lanes:
+            intervals.append(states[sid[0]])
+    final = np.array([(left + right) // 2 / denom for left, right in states])[sid]
+    return _Lockstep(lo + final * (hi - lo), mids, ests, intervals, denom)
 
 
 def binary_search_median(
@@ -165,8 +192,7 @@ def binary_search_median(
         value=float(run.values[0]),
         queries=counter.total,
         trace=list(zip(run.mids[:, 0].tolist(), run.estimates[:, 0].tolist())),
-        intervals=[(left[0] / run.denom, right[0] / run.denom)
-                   for left, right in run.intervals],
+        intervals=[(left / run.denom, right / run.denom) for left, right in run.intervals],
     )
 
 
@@ -245,6 +271,16 @@ def _noisy_medians(
     return medians
 
 
+def _check_unit_values(values: np.ndarray) -> None:
+    """Reject values a search over [-1, 1] would silently misplace: NaN, Inf
+    and magnitudes above 1 by more than the 1e-12 slack RawDataset allows
+    on norms."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError("values contain NaN or Inf")
+    if np.any(np.abs(values) > 1.0 + 1e-12):
+        raise ValueError("values must lie in [-1, 1]")
+
+
 def quantum_median(
     values,
     cfg: MedianSearchConfig,
@@ -252,13 +288,15 @@ def quantum_median(
     counter: QueryCounter | None = None,
 ) -> float:
     """Median of a list of reals in [-1, 1] estimated through the full noisy
-    pipeline; the binary search runs over the fixed domain (-1, 1)."""
+    pipeline; the binary search runs over the fixed domain (-1, 1).  Raises
+    ValueError for values the domain cannot hold (see _check_unit_values)."""
     if counter is None:
         counter = QueryCounter()
+    values = np.asarray(values, dtype=np.float64)
+    _check_unit_values(values)
     failed, noise = statevec.ae_draws(cfg.p_max, cfg.delta0, rng)
-    values = np.asarray(values, dtype=np.float64)[None, :]
-    return float(_noisy_medians(values, cfg, (failed[None], noise[None]), (-1.0, 1.0),
-                                counter)[0])
+    return float(_noisy_medians(values[None, :], cfg, (failed[None], noise[None]),
+                                (-1.0, 1.0), counter)[0])
 
 
 def matrix_element_oracle(
@@ -282,8 +320,11 @@ def matrix_element_oracle(
     assumes a Lipschitz inverse CDF).
 
     The entries take their randomness from rng in (flattened) order, each
-    its three medians' readouts in turn, as one call per entry would; the
-    searches themselves run in three lockstep phases over all entries.
+    its three medians' readouts in turn, as one call per entry would.  The
+    searches run in two lockstep phases over all entries: the column-k and
+    column-l medians, which share one configuration, as one phase with two
+    lanes per entry, then the product medians.  The entries of `vectors`
+    must lie in [-1, 1] (ValueError otherwise, see _check_unit_values).
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
@@ -292,6 +333,7 @@ def matrix_element_oracle(
     ips = np.asarray(vectors, dtype=np.float64)
     if ips.ndim != 2:
         raise ValueError("expected a 2-D array of row vectors")
+    _check_unit_values(ips)
     k, l = np.broadcast_arrays(k, l)
     shape = k.shape
     k, l = k.ravel(), l.ravel()
@@ -316,12 +358,15 @@ def matrix_element_oracle(
     block = 2 * p_col + cfg_prod.p_max
     failed, noise = statevec.ae_draws(len(k) * block, delta0, rng)
     failed, noise = failed.reshape(len(k), block), noise.reshape(len(k), block)
-    phases = (slice(0, p_col), slice(p_col, 2 * p_col), slice(2 * p_col, None))
-    draws = [(failed[:, s], noise[:, s]) for s in phases]
+    # lanes [0, E) take the column-k readouts of the E = len(k) entries,
+    # lanes [E, 2E) their column-l readouts
+    col_draws = [np.concatenate(np.hsplit(a[:, :2 * p_col], 2)) for a in (failed, noise)]
 
     cols = ips.T
-    med_k = _noisy_medians(cols[k], cfg_col, draws[0], (-1.0, 1.0), counter)
-    med_l = _noisy_medians(cols[l], cfg_col, draws[1], (-1.0, 1.0), counter)
+    med_k, med_l = np.split(
+        _noisy_medians(cols[np.concatenate([k, l])], cfg_col, col_draws, (-1.0, 1.0), counter),
+        2)
     prods = (cols[k] - med_k[:, None]) * (cols[l] - med_l[:, None])
     # products of two deviations bounded by 2 each lie in [-4, 4]
-    return _noisy_medians(prods, cfg_prod, draws[2], (-4.0, 4.0), counter).reshape(shape)[()]
+    return _noisy_medians(prods, cfg_prod, (failed[:, 2 * p_col:], noise[:, 2 * p_col:]),
+                          (-4.0, 4.0), counter).reshape(shape)[()]

@@ -58,6 +58,74 @@ def test_embed_rejects_norm_violation():
         embedding.RawDataset(np.array([[2.0, 0.0]]), norm_bound=1.0)
 
 
+def _ref_embed(raw):
+    """One vector at a time: the tag and direction of row j, then their
+    Kronecker product."""
+    N, Nv, R = raw.dim, raw.count, raw.norm_bound
+    tag_dim = 2 * Nv + 1
+    out = np.zeros((Nv, N * tag_dim))
+    out_dag = np.zeros((Nv, N * tag_dim))
+    for j, x in enumerate(raw.vectors):
+        nrm = np.linalg.norm(x)
+        direction = np.zeros(N)
+        if nrm > 0:
+            direction = x / nrm
+        else:
+            direction[0] = 1.0  # weight on this factor is zero anyway
+        if R == 0:
+            tag = np.zeros(tag_dim)
+            tag[1 + j] = 1.0
+            tag_dag = np.zeros(tag_dim)
+            tag_dag[1 + Nv + j] = 1.0
+            direction = np.zeros(N)
+            direction[0] = 1.0
+        else:
+            w = nrm / R
+            tag = np.zeros(tag_dim)
+            tag[0] = w
+            tag[1 + j] = math.sqrt(max(0.0, 1.0 - w * w))
+            tag_dag = np.zeros(tag_dim)
+            tag_dag[0] = w
+            tag_dag[1 + Nv + j] = math.sqrt(max(0.0, 1.0 - w * w))
+        out[j] = np.kron(direction, tag)
+        out_dag[j] = np.kron(direction, tag_dag)
+    return out, out_dag
+
+
+@st.composite
+def _raw_datasets(draw):
+    # grid rows with ties and zero rows, or arbitrary floats; R tight (the
+    # largest norm), loose (above it) or 0 (zero data only)
+    dim = draw(st.integers(1, 5))
+    entry = st.one_of(st.sampled_from([0.0, 0.5, -0.5, 1.0, -3.0]),
+                      st.floats(-1e3, 1e3, allow_subnormal=False))
+    rows = draw(st.lists(st.one_of(st.just([0.0] * dim),
+                                   st.lists(entry, min_size=dim, max_size=dim)),
+                         min_size=1, max_size=7))
+    vecs = np.array(rows, dtype=np.float64)
+    largest = float(np.max(np.linalg.norm(vecs, axis=1)))
+    bound = draw(st.sampled_from(["tight", "loose", "zero"]))
+    if bound == "zero" or largest == 0.0:
+        vecs[:] = 0.0
+        R = 0.0 if bound == "zero" else draw(st.floats(0.0, 10.0))
+    else:
+        R = largest * (1.0 if bound == "tight" else draw(st.floats(1.0, 4.0)))
+    return embedding.RawDataset(vecs, norm_bound=R)
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw=_raw_datasets())
+@example(raw=embedding.RawDataset(np.zeros((3, 2)), norm_bound=0.0))
+@example(raw=embedding.RawDataset(np.array([[3.0, -4.0], [0.0, 0.0], [-5.0, 0.0]]),
+                                  norm_bound=5.0))
+def test_embed_matches_per_vector_reference(raw):
+    unit = embedding.embed(raw)
+    want, want_dag = _ref_embed(raw)
+    for got, ref in ((unit.vectors, want), (unit.dagger_vectors, want_dag)):
+        assert np.array_equal(got, ref)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
 def test_median_conventions():
     assert embedding.median([3.0]) == 3.0
     assert embedding.median([1.0, 2.0, 3.0, 4.0]) == 2.5

@@ -362,3 +362,59 @@ def test_noiseless_error_bound_every_step(cfg, n, a, width, point_mass):
         bound = 2.0 ** (-p - 1) + widen * (1.0 - 2.0**-p)
         assert left - 1e-12 <= true_med <= right + 1e-12
         assert abs((left + right) / 2.0 - true_med) <= bound + 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+# dyadic eps0 = 2^-8: 0.5 +- eps0 sit exactly on the pinning threshold
+@given(cfg=st.one_of(_configs, st.just(mo.MedianSearchConfig(epsilon=2**-4,
+                                                              epsilon_prime=2**-7))),
+       lanes=st.integers(1, 200), edge_share=st.sampled_from([0.0, 0.3, 1.0]),
+       domain=st.sampled_from([(-1.0, 1.0), (-4.0, 4.0), (0.0, 1.0)]),
+       seed=st.integers(0, 2**32 - 1))
+def test_lockstep_lanes_match_one_lane_runs(cfg, lanes, edge_share, domain, seed):
+    # arbitrary readouts, a share of them on the pinning threshold, the
+    # domain edges or NaN: the lanes split into many search states, and each
+    # lane's midpoints, readouts and value equal a one-lane run on its column
+    rng = np.random.default_rng(seed)
+    answers = rng.random((cfg.p_max, lanes))
+    edges = [0.0, 0.5, 1.0, 0.5 - cfg.epsilon0, 0.5 + cfg.epsilon0, math.nan]
+    on_edge = rng.random(answers.shape) < edge_share
+    answers[on_edge] = rng.choice(edges, size=int(on_edge.sum()))
+    run = mo._lockstep_search(lambda step, y: answers[step], lanes, cfg, domain)
+    for i in range(lanes):
+        one = mo._lockstep_search(lambda step, y: answers[step, i:i + 1], 1, cfg, domain)
+        assert np.array_equal(run.mids[:, i], one.mids[:, 0])
+        assert np.array_equal(run.estimates[:, i], one.estimates[:, 0], equal_nan=True)
+        assert run.values[i] == one.values[0]
+        if i == 0:
+            assert run.intervals == one.intervals
+
+
+@pytest.mark.parametrize("vectors, k", [
+    (np.array([[math.nan, 0.0], [0.5, 0.5]]), 1),  # a NaN row
+    (np.array([[0.5, math.inf], [0.5, 0.5]]), 0),
+    (np.array([[5.0, 0.0], [7.0, 1.0]]), 0),  # column 0 outside [-1, 1]
+    (np.array([[1.0 + 1e-11, 0.0]]), 1),
+])
+def test_matrix_element_rejects_values_outside_unit_range(vectors, k):
+    with pytest.raises(ValueError):
+        mo.matrix_element_oracle(vectors, k, k, gamma=0.1, delta=0.05,
+                                 rng=stream(0, "mo", "range"))
+
+
+@pytest.mark.parametrize("values", [[3.0, 5.0], [0.0, -1.5], [math.nan, 0.0],
+                                    [math.inf], [1.0 + 1e-11]])
+def test_quantum_median_rejects_values_outside_unit_range(values):
+    cfg = mo.MedianSearchConfig(epsilon=0.05, epsilon_prime=0.01, delta0=0.01)
+    with pytest.raises(ValueError):
+        mo.quantum_median(values, cfg, stream(0, "mo", "range"))
+
+
+def test_unit_range_allows_the_norm_slack():
+    # the same 1e-12 slack RawDataset allows on norms
+    edge = 1.0 + 1e-13
+    cfg = mo.MedianSearchConfig(epsilon=0.05, epsilon_prime=0.01)
+    assert -1.0 <= mo.quantum_median([edge, -edge, edge], cfg, stream(0, "mo", "slack")) <= 1.0
+    vectors = np.array([[edge, 0.0], [-edge, 0.0], [edge, 0.0]])
+    assert np.isfinite(mo.matrix_element_oracle(vectors, 0, 0, gamma=0.1, delta=0.05,
+                                                rng=stream(1, "mo", "slack")))
