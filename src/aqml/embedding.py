@@ -243,25 +243,28 @@ def cubic_dist() -> DistributionSpec:
     return DistributionSpec(lambda u: (2.0 * u - 1.0) ** 3, 6.0, "cubic")
 
 
-def _middle_order_statistics(u: np.ndarray, shift: int) -> np.ndarray:
-    """The middle one (odd n) or two (even n) values of sorted(u), ascending.
+def _order_statistics(x: np.ndarray, ranks) -> tuple[np.ndarray, int, np.ndarray]:
+    """Values of sorted(x) at the nondecreasing integer array `ranks`, and
+    the window they were selected from.
 
-    `shift` entries of u below the median were moved to the top, so the
-    middle ranks h = (n - 1) // 2 and n // 2 sit near the (h + shift) / n
-    quantile of the uniform draws.  Only the entries within 8 / sqrt(n) of
-    it are partitioned; when the counts show the ranks outside that window,
-    the whole array is.
+    x is taken for near-uniform on [0, 1], so rank r sits near the r / n
+    quantile.  Only the entries in [lo, hi) = [ranks[0] / n - w,
+    (ranks[-1] + 1) / n + w), w = 4 / sqrt(n) (at least 8 standard
+    deviations of a uniform order statistic), are partitioned.  Returns the
+    values, the count of entries below lo and the window's entries; when the
+    counts show a rank outside the window, the whole array is partitioned
+    and the count is 0 with x as the window.
     """
-    n = u.size
-    ranks = [(n - 1) // 2, n // 2] if n % 2 == 0 else [n // 2]
-    center, half = (ranks[0] + shift) / n, 8.0 / math.sqrt(n)
-    below = u < center - half
-    inside = u < center + half
+    n = x.size
+    half = 4.0 / math.sqrt(n)
+    below = x < ranks[0] / n - half
+    inside = x < (ranks[-1] + 1) / n + half
     offset = int(np.count_nonzero(below))
     if offset <= ranks[0] and ranks[-1] < np.count_nonzero(inside):
-        local = [r - offset for r in ranks]
-        return np.partition(u.compress(inside & ~below), local)[local]
-    return np.partition(u, ranks)[ranks]
+        window = x.compress(inside ^ below)  # below is a subset of inside
+        local = ranks - offset
+        return np.partition(window, local)[local], offset, window
+    return np.partition(x, ranks)[ranks], 0, x
 
 
 def median_stability_check(
@@ -274,13 +277,25 @@ def median_stability_check(
     """Empirically verify the alpha*L bound on the median shift under
     contamination at total variational distance <= alpha.
 
-    The contamination moves an alpha mass from below the median to the upper
-    end point Q(1) (one-sided placement, which saturates the bound).  Returns
-    measured shifts and the bound with sampling slack.
+    The contamination moves floor(alpha n) draws, the first ones in draw
+    order below 1/2 (all of them if fewer lie there), to the upper end
+    point Q(1) (one-sided placement, which saturates the bound).  Returns
+    the largest and the mean measured shift over the trials, the bound
+    alpha L and its sampling slack, and whether every shift stayed within
+    bound plus slack.
 
     Both medians are taken on the uniform draws u: Q is nondecreasing, so
     the median of Q(u) is the mean of Q at the middle order statistics of u,
-    and Q runs on those one or two values only.
+    and Q runs on those one or two values only.  With `below` draws under
+    1/2 and shift = min(floor(alpha n), below) of them moved, the poisoned
+    middle order statistics are u's at the middle ranks + shift whenever
+    below - shift is at most the lower middle rank: every moved draw then
+    lies below the kept middle ranks.  Only the shift = floor(alpha n) <
+    below case can fail it, and then only when below exceeds n / 2 by more
+    than about alpha n, which takes alpha n within a few sqrt(n) of 0 (at
+    n = 10^5 and alpha = 0.05: 5000 extra draws below 1/2, 31 standard
+    deviations).  Then the poisoned copy is built and its middle ranks
+    selected.  Each trial draws u into one reused buffer.
     """
     if not 0.0 <= alpha < 0.5:
         raise ValueError("alpha must lie in [0, 1/2)")
@@ -292,18 +307,27 @@ def median_stability_check(
     slack = 3.0 * L / (2.0 * math.sqrt(n_samples))
     bound = alpha * L + slack
     n_poison = int(math.floor(alpha * n_samples))
+    low_middle = (n_samples - 1) // 2
+    middle = np.unique([low_middle, n_samples // 2])
+    u = np.empty(n_samples)
     shifts = []
     for _ in range(trials):
-        u = rng.random(n_samples)
-        poisoned = u.copy()
-        # worst placement: move an alpha mass from below the median to the
-        # top, pushing the median to the (1/2 + alpha) quantile; u < 1, so
-        # the moved entries never reach the middle ranks
-        low = np.flatnonzero(u < 0.5)[:n_poison]
-        poisoned[low] = 1.0
-        clean_median = np.mean(dist.inverse_cdf(_middle_order_statistics(u, 0)))
-        poisoned_median = np.mean(
-            dist.inverse_cdf(_middle_order_statistics(poisoned, low.size)))
+        rng.random(out=u)
+        clean, offset, window = _order_statistics(u, middle)
+        # the clean window straddles 1/2: every draw left of it lies below
+        # 1/2 and every draw right of it above
+        below = offset + int(np.count_nonzero(window < 0.5))
+        shift = min(n_poison, below)
+        if shift and below - shift > low_middle:
+            # the moved draws go to the top (u < 1, so they never reach the
+            # middle ranks)
+            copy = u.copy()
+            copy[np.flatnonzero(u < 0.5)[:shift]] = 1.0
+            poisoned = _order_statistics(copy, middle)[0]
+        else:
+            poisoned = _order_statistics(u, middle + shift)[0]
+        clean_median = np.mean(dist.inverse_cdf(clean))
+        poisoned_median = np.mean(dist.inverse_cdf(poisoned))
         shifts.append(float(abs(poisoned_median - clean_median)))
     shifts = np.array(shifts)
     return {

@@ -253,8 +253,6 @@ def _noisy_medians(
     statevec.check_ae_precision(cfg.epsilon0, cfg.delta0)
     failed, noise = draws
     lanes, n = values.shape
-    if n == 0:
-        raise ValueError("no values to take the median of")
 
     def readout(step, y):
         prob = np.count_nonzero(values < y[:, None], axis=1) / n
@@ -289,10 +287,13 @@ def quantum_median(
 ) -> float:
     """Median of a list of reals in [-1, 1] estimated through the full noisy
     pipeline; the binary search runs over the fixed domain (-1, 1).  Raises
-    ValueError for values the domain cannot hold (see _check_unit_values)."""
+    ValueError, before drawing from rng, for no values and for values the
+    domain cannot hold (see _check_unit_values)."""
     if counter is None:
         counter = QueryCounter()
     values = np.asarray(values, dtype=np.float64)
+    if values.size == 0:
+        raise ValueError("no values to take the median of")
     _check_unit_values(values)
     failed, noise = statevec.ae_draws(cfg.p_max, cfg.delta0, rng)
     return float(_noisy_medians(values[None, :], cfg, (failed[None], noise[None]),
@@ -323,8 +324,9 @@ def matrix_element_oracle(
     its three medians' readouts in turn, as one call per entry would.  The
     searches run in two lockstep phases over all entries: the column-k and
     column-l medians, which share one configuration, as one phase with two
-    lanes per entry, then the product medians.  The entries of `vectors`
-    must lie in [-1, 1] (ValueError otherwise, see _check_unit_values).
+    lanes per entry, then the product medians.  `vectors` must have a row,
+    and its entries must lie in [-1, 1] (ValueError otherwise, raised before
+    drawing from rng; see _check_unit_values).
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
@@ -333,6 +335,8 @@ def matrix_element_oracle(
     ips = np.asarray(vectors, dtype=np.float64)
     if ips.ndim != 2:
         raise ValueError("expected a 2-D array of row vectors")
+    if ips.shape[0] == 0:
+        raise ValueError("no values to take the median of")
     _check_unit_values(ips)
     k, l = np.broadcast_arrays(k, l)
     shape = k.shape

@@ -326,6 +326,16 @@ _FAMILIES = [embedding.uniform_dist(), embedding.sine_dist(), embedding.cubic_di
 @example(dist=_FAMILIES[1], alpha=0.05, n=10**5, trials=1, seed=1)
 @example(dist=_FAMILIES[2], alpha=0.1, n=10**5, trials=2, seed=2)
 @example(dist=_FAMILIES[2], alpha=0.0, n=10**5 + 1, trials=1, seed=3)
+# 49 871 draws below 1/2, fewer than the 49 900 to move
+@example(dist=_FAMILIES[0], alpha=0.499, n=10**5, trials=1, seed=2)
+# more than the lower middle rank + floor(alpha n) draws below 1/2, and a
+# moved draw above the kept middle ranks: the poisoned copy is built, and
+# u's order statistics at the middle ranks + shift would be wrong
+@example(dist=_FAMILIES[1], alpha=1e-4, n=10**5, trials=1, seed=13)
+@example(dist=_FAMILIES[2], alpha=1e-3, n=10**5, trials=1, seed=181)
+@example(dist=_FAMILIES[1], alpha=0.1, n=10**5 + 1, trials=1, seed=4)
+# the draw buffer refilled by later trials
+@example(dist=_FAMILIES[0], alpha=0.2, n=10**5, trials=3, seed=5)
 def test_median_stability_matches_full_array_medians(dist, alpha, n, trials, seed):
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     rep = embedding.median_stability_check(dist, alpha, trials, n, rng=rng)
@@ -334,9 +344,25 @@ def test_median_stability_matches_full_array_medians(dist, alpha, n, trials, see
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-def _middle(x):
-    ranks = [(x.size - 1) // 2, x.size // 2]
-    return np.partition(x, ranks)[sorted(set(ranks))]
+def _rank_lists(n, shift):
+    """Rank lists of length 1, 2 and 4 over n entries: the end ranks 0 and
+    n - 1, the middle ranks moved up by shift (where they fit), and the ends
+    with the moved middle ranks (capped at n - 1)."""
+    middle = np.unique([(n - 1) // 2, n // 2]) + shift
+    capped = np.minimum(np.array([(n - 1) // 2, n // 2]) + shift, n - 1)
+    lists = [[0], [n - 1], [0, n - 1], [0, *capped, n - 1]]
+    if middle[-1] < n:
+        lists.append(list(middle))
+    return lists
+
+
+def _check_order_statistics(x, ranks):
+    ranks = np.asarray(ranks)
+    values, offset, window = embedding._order_statistics(x, ranks)
+    assert np.array_equal(values, np.sort(x)[ranks])
+    # the window is the run of sorted(x) from rank offset, and holds every rank
+    assert offset <= ranks[0] and ranks[-1] < offset + window.size
+    assert np.array_equal(np.sort(window), np.sort(x)[offset:offset + window.size])
 
 
 @pytest.mark.parametrize("n", [1, 2, 999, 1000])
@@ -354,13 +380,21 @@ def _middle(x):
 @pytest.mark.parametrize("shift", [0, 1, 7])
 def test_middle_order_statistics_skewed(n, make, shift):
     x = make(stream(n, "emb", "mos"), n)
-    assert np.array_equal(embedding._middle_order_statistics(x, shift), _middle(x))
+    for ranks in _rank_lists(n, shift):
+        _check_order_statistics(x, ranks)
+
+
+@st.composite
+def _values_and_ranks(draw):
+    values = draw(st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.5, 1.0])),
+                           min_size=1, max_size=300))
+    n = len(values)
+    # any ranks, or only the end ranks 0 and n - 1
+    rank = st.one_of(st.integers(0, n - 1), st.sampled_from([0, n - 1]))
+    return np.array(values), sorted(draw(st.lists(rank, min_size=1, max_size=4)))
 
 
 @settings(max_examples=100, deadline=None)
-@given(values=st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.5, 1.0])),
-                       min_size=1, max_size=300),
-       shift=st.integers(0, 300))
-def test_middle_order_statistics_any_values(values, shift):
-    x = np.array(values)
-    assert np.array_equal(embedding._middle_order_statistics(x, shift), _middle(x))
+@given(case=_values_and_ranks())
+def test_middle_order_statistics_any_values(case):
+    _check_order_statistics(*case)

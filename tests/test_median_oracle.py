@@ -397,17 +397,39 @@ def test_lockstep_lanes_match_one_lane_runs(cfg, lanes, edge_share, domain, seed
     (np.array([[1.0 + 1e-11, 0.0]]), 1),
 ])
 def test_matrix_element_rejects_values_outside_unit_range(vectors, k):
+    rng = stream(0, "mo", "range")
+    state = rng.bit_generator.state
     with pytest.raises(ValueError):
-        mo.matrix_element_oracle(vectors, k, k, gamma=0.1, delta=0.05,
-                                 rng=stream(0, "mo", "range"))
+        mo.matrix_element_oracle(vectors, k, k, gamma=0.1, delta=0.05, rng=rng)
+    assert rng.bit_generator.state == state
 
 
 @pytest.mark.parametrize("values", [[3.0, 5.0], [0.0, -1.5], [math.nan, 0.0],
                                     [math.inf], [1.0 + 1e-11]])
 def test_quantum_median_rejects_values_outside_unit_range(values):
     cfg = mo.MedianSearchConfig(epsilon=0.05, epsilon_prime=0.01, delta0=0.01)
+    rng = stream(0, "mo", "range")
+    state = rng.bit_generator.state
     with pytest.raises(ValueError):
-        mo.quantum_median(values, cfg, stream(0, "mo", "range"))
+        mo.quantum_median(values, cfg, rng)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("call", [
+    lambda rng: mo.quantum_median(
+        [], mo.MedianSearchConfig(epsilon=0.05, epsilon_prime=0.01), rng),
+    lambda rng: mo.matrix_element_oracle(np.zeros((0, 3)), 0, 1, gamma=0.1, delta=0.05,
+                                         rng=rng),
+    # no entries asked for either
+    lambda rng: mo.matrix_element_oracle(np.zeros((0, 3)), [], [], gamma=0.1, delta=0.05,
+                                         rng=rng),
+])
+def test_empty_input_is_rejected_before_any_draw(call):
+    rng = stream(0, "mo", "empty")
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="no values"):
+        call(rng)
+    assert rng.bit_generator.state == state
 
 
 def test_unit_range_allows_the_norm_slack():
