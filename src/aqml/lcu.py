@@ -117,21 +117,32 @@ def one_sparse_decompose(H: SparseHermitian | np.ndarray) -> OneSparseDecomposit
 def sign_count_average(values: np.ndarray, max_norm: float, m_disc: int) -> np.ndarray:
     """Average over m = 1..m_disc of the discretized sign
     (-1)^(m * [|v| m_disc < m max_norm]); equals |v|/max_norm within
-    O(1/m_disc).  Vectorized closed form of the sum over m."""
-    mag = np.abs(np.asarray(values, dtype=np.float64))
-    # number of m with indicator false, i.e. m <= |v| m_disc / max_norm
-    mag *= m_disc
-    mag /= max_norm
-    n_plus = np.minimum(np.floor(mag, out=mag).astype(np.int64), m_disc)
-    # the remaining m = n_plus+1 .. m_disc alternate (-1)^m: their sum is 0
-    # for an even count, else (-1)^(n_plus+1), i.e. +1 for odd n_plus
-    alt_sum = ((m_disc - n_plus) & 1) * (2 * (n_plus & 1) - 1)
-    return (n_plus + alt_sum) / m_disc
+    O(1/m_disc).  Vectorized closed form of the sum over m, in float64
+    (every intermediate is an integer below 2^53, so it is exact)."""
+    count = np.abs(np.asarray(values, dtype=np.float64))
+    # n = number of m with indicator false, i.e. m <= |v| m_disc / max_norm
+    count *= m_disc
+    count /= max_norm
+    np.floor(count, out=count)
+    np.minimum(count, m_disc, out=count)
+    # the n terms +1 plus the remaining m = n+1 .. m_disc, which alternate
+    # (-1)^m: together 2 ceil(n / 2) - (m_disc mod 2)
+    count *= 0.5
+    np.ceil(count, out=count)
+    count *= 2.0
+    count -= m_disc % 2
+    count /= m_disc
+    return count
 
 
 # noisy-oracle mode requires delta <= DELTA_MDISC_CONSTANT / m_disc so the
 # failure rate stays within the sign-discretization resolution
 DELTA_MDISC_CONSTANT = 100.0
+
+# largest truncation order K: simulate_noisy keeps K//2 + 1 stacked powers
+# per trial block, and at a segment norm of ln 2 the next term
+# (ln 2)^(K+1)/(K+1)! is below double rounding long before K = 40
+MAX_ORDER = 40
 
 
 @dataclass
@@ -149,6 +160,8 @@ class TaylorConfig:
     def __post_init__(self):
         if self.order < 1 or self.m_disc < 1 or self.n_trials < 1:
             raise ValueError("order, m_disc and n_trials must be >= 1")
+        if self.order > MAX_ORDER:
+            raise ValueError("order must be <= %d" % MAX_ORDER)
         if not (0.0 <= self.delta < 1.0 and self.eta >= 0.0):
             raise ValueError("invalid oracle noise parameters")
         if self.delta > 0.0 and self.delta > DELTA_MDISC_CONSTANT / self.m_disc:
@@ -182,32 +195,16 @@ def taylor_segment(H, t: float, K: int):
     return S, smin
 
 
-def _real_series(A: np.ndarray, K: int, C: np.ndarray, S: np.ndarray, scratch) -> None:
-    """Write real C and S with sum_{q<=K} (-iA)^q / q! = C - iS for a stack
-    of real matrices A into the stacks C and S, from the powers of B = A^2:
-    C = sum_j (-1)^j B^j / (2j)! and S = A sum_j (-1)^j B^j / (2j+1)!.
-
-    `scratch` is four more stacks of A's shape.  One term steps through
-    c_1 B, s_1 B, c_2 B^2, s_2 B^2, ... with c_j = (-1)^j / (2j)!,
-    s_j = c_j / (2j+1) and c_{j+1} = -s_j / (2j+2), scaled in place, so
-    nothing is allocated."""
-    B, term, spare, odd = scratch
-    idx = np.arange(A.shape[-1])
-    C.fill(0.0)
-    C[..., idx, idx] = 1.0
-    np.copyto(odd, C)
-    np.matmul(A, A, out=B)
-    np.multiply(B, -0.5, out=term)
-    for j in range(1, K // 2 + 1):
-        if j > 1:
-            np.matmul(term, B, out=spare)
-            term, spare = spare, term
-            term *= -1.0 / (2 * j)
-        C += term
+def _series_coefficients(K: int) -> np.ndarray:
+    """(2, K//2 + 1) coefficients of the truncated series in B = A^2: row 0
+    is (-1)^j / (2j)! (the even part C), row 1 is (-1)^j / (2j+1)! (the odd
+    part S / A), zero where 2j + 1 > K."""
+    coef = np.zeros((2, K // 2 + 1))
+    for j in range(K // 2 + 1):
+        coef[0, j] = (-1) ** j / math.factorial(2 * j)
         if 2 * j + 1 <= K:
-            term /= 2 * j + 1
-            odd += term
-    np.matmul(A, odd, out=S)
+            coef[1, j] = (-1) ** j / math.factorial(2 * j + 1)
+    return coef
 
 
 def taylor_remainder_bound(h_norm: float, t: float, K: int) -> float:
@@ -271,13 +268,17 @@ def simulate_noisy(
     C = sum_{q even} (-1)^(q/2) A^q / q! and
     S = sum_{q odd} (-1)^((q-1)/2) A^q / q!,
     and the running product is carried as a real pair Pr + iPi, using
-    (C - iS)(Pr + iPi) = (C Pr + S Pi) + i(C Pi - S Pr).
+    (C - iS)(Pr + iPi) = (C Pr + S Pi) + i(C Pi - S Pr).  Both sums are
+    polynomials in B = A^2: a stack holds the powers I, B, ..., B^(K//2),
+    one coefficient product (2, K//2 + 1) @ (K//2 + 1, block dim^2) writes
+    C and S / A together, and S = A (S / A).
 
     All T * r * nnz oracle reads are drawn first, so the generator stream
     does not depend on how the trials are grouped.  The trials then run in
-    blocks of max(1, BLOCK_BYTES // (8 dim^2)); every block reuses the same
-    nine (block, dim, dim) scratch stacks, and its Pr and Pi are summed into
-    Q.  Memory is O(block dim^2 + T r nnz) rather than O(T dim^2).
+    blocks of max(1, BLOCK_BYTES // (8 dim^2)); every block reuses one
+    buffer of K//2 + 9 (block, dim, dim) stacks, and its Pr and Pi are
+    summed into Q.  Memory is O(K block dim^2 + T r nnz) rather than
+    O(T dim^2).
     """
     if not isinstance(H, SparseHermitian):
         H = SparseHermitian(np.asarray(H))
@@ -317,45 +318,72 @@ def simulate_noisy(
     counter.charge("matrix_element_oracle", T * r * n_slots)
     # sign discretization quantizes each read to a multiple of max_norm/m_disc;
     # only the scaled, quantized reads are used from here on
-    quant = np.sign(reads) * sign_count_average(reads, max_norm, cfg.m_disc) * max_norm
+    quant = sign_count_average(reads, max_norm, cfg.m_disc)
+    quant *= np.sign(reads, out=reads)
+    quant *= max_norm
     quant *= t_seg
     del reads
 
     # real arithmetic: the segment series is C - iS, the running product
     # Pr + iPi starts from the first segment, (C_0, -S_0).  Trials run in
-    # blocks over one set of scratch stacks; A's off-support entries stay 0.
+    # blocks over one buffer of stacks: the powers P[j] = B^j of B = A^2
+    # (P[0] = I), the pair CS = (C, S / A) and six more stacks.
+    n_powers = cfg.order // 2 + 1
+    coef = _series_coefficients(cfg.order)
+    # segment 0 writes (C_0, -S_0 / A) so that Pi = -S_0 is one matmul
+    coef_first = coef * np.array([[1.0], [-1.0]])
     block = min(T, max(1, BLOCK_BYTES // (8 * dim * dim)))
-    work = np.zeros((9, block, dim, dim))
+    buf = np.empty((n_powers + 8) * block * dim * dim)
     Q_re = np.zeros((dim, dim))
     Q_im = np.zeros((dim, dim))
+    P = None
     for start in range(0, T, block):
-        stop = min(start + block, T)
-        A, C, S, Pr, Pi, *scratch = work[:, : stop - start]
+        n = min(block, T - start)
+        if P is None or P.shape[1] != n:
+            # lay the stacks out for n trials (again for a short last block),
+            # so the power stack and the pair CS are contiguous
+            stacks = buf[: (n_powers + 8) * n * dim * dim].reshape(-1, n, dim, dim)
+            P, CS = stacks[:n_powers], stacks[n_powers : n_powers + 2]
+            A, S, *prod = stacks[n_powers + 2 :]
+            P[0] = np.eye(dim)
+            # A's off-support entries stay 0
+            A.fill(0.0)
+        Pr, Pi, X, Y = prod
         for s in range(r):
-            vals = quant[start:stop, s, :]
+            vals = quant[start : start + n, s, :]
             A[:, rows, cols] = vals
             A[:, cols, rows] = vals
-            _real_series(A, cfg.order, C, S, scratch)
+            if n_powers > 1:
+                np.matmul(A, A, out=P[1])
+            for j in range(2, n_powers):
+                np.matmul(P[j - 1], P[1], out=P[j])
+            np.matmul(coef_first if s == 0 else coef, P.reshape(n_powers, -1),
+                      out=CS.reshape(2, -1))
+            C = CS[0]
             if s == 0:
                 np.copyto(Pr, C)
-                np.negative(S, out=Pi)
-            else:
-                # (C - iS)(Pr + iPi) = (C Pr + S Pi) + i(C Pi - S Pr)
-                X, Y, Z = scratch[:3]
-                np.matmul(C, Pr, out=X)
-                X += np.matmul(S, Pi, out=Y)
-                np.matmul(C, Pi, out=Y)
-                Y -= np.matmul(S, Pr, out=Z)
-                # the old Pr and Pi stacks become scratch
-                Pr, Pi, scratch[0], scratch[1] = X, Y, Pr, Pi
+                np.matmul(A, CS[1], out=Pi)
+                continue
+            np.matmul(A, CS[1], out=S)
+            # (C - iS)(Pr + iPi) = (C Pr + S Pi) + i(C Pi - S Pr); CS[1] is
+            # free once S is built
+            Z = CS[1]
+            np.matmul(C, Pr, out=X)
+            X += np.matmul(S, Pi, out=Z)
+            np.matmul(C, Pi, out=Y)
+            Y -= np.matmul(S, Pr, out=Z)
+            # the old Pr and Pi stacks become scratch
+            Pr, Pi, X, Y = X, Y, Pr, Pi
         Q_re += Pr.sum(axis=0)
         Q_im += Pi.sum(axis=0)
     counter.charge("lcu_segment_queries", T * r * cfg.order)
     Q = Q_re / T + 1j * (Q_im / T)
 
     M_eff = extract_effective_hamiltonian(Q, cfg.time)
-    deviation = linalg.norm(H.matrix - M_eff, "spectral")
-    drift = linalg.norm(Q.conj().T @ Q - np.eye(dim), "spectral")
+    # both differences are Hermitian: their spectral norms are the largest
+    # |eigenvalue|
+    deviation = _hermitian_norm(H.matrix - M_eff)
+    drift = _hermitian_norm(Q.conj().T @ Q - np.eye(dim))
     d = H.sparsity
     return NoisySimulationReport(
         effective_channel=Q,
@@ -371,10 +399,9 @@ def simulate_noisy(
     )
 
 
-def polar_unitary(Q: np.ndarray) -> np.ndarray:
-    """Closest unitary to Q (polar factor via SVD)."""
-    u, _, vh = np.linalg.svd(np.asarray(Q, dtype=np.complex128))
-    return u @ vh
+def _hermitian_norm(X: np.ndarray) -> float:
+    """Spectral norm of a Hermitian matrix, from `eigvalsh`."""
+    return float(np.max(np.abs(np.linalg.eigvalsh(X))))
 
 
 def extract_effective_hamiltonian(Q, t: float) -> np.ndarray:
@@ -391,8 +418,11 @@ def extract_effective_hamiltonian(Q, t: float) -> np.ndarray:
     if t == 0:
         raise ValueError("t must be nonzero")
     Q = linalg.as_operator(Q)
-    U = polar_unitary(Q)
-    if linalg.norm(Q - U, "spectral") > 0.1:
+    # Q = W diag(sigma) V^dag has polar part U = W V^dag, and
+    # ||Q - U|| = max |sigma - 1|, so one SVD serves both
+    w, sigma, vh = np.linalg.svd(Q)
+    U = w @ vh
+    if np.max(np.abs(sigma - 1.0)) > 0.1:
         raise ValueError("operator is too far from unitary to extract a generator")
     eye = np.eye(U.shape[0])
     try:

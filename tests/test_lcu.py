@@ -234,6 +234,15 @@ def test_config_delta_invariant():
         lcu.TaylorConfig(n_trials=0)
 
 
+def test_config_order_cap():
+    # the power stack of simulate_noisy holds K//2 + 1 stacks per block
+    lcu.TaylorConfig(order=lcu.MAX_ORDER)
+    with pytest.raises(ValueError):
+        lcu.TaylorConfig(order=lcu.MAX_ORDER + 1)
+    # past the cap the next term is far below double rounding
+    assert lcu.taylor_remainder_bound(1.0, math.log(2.0), lcu.MAX_ORDER) < 1e-40
+
+
 def test_simulate_noiseless_matches_exact():
     rng = stream(0, "lcu", "clean")
     A = random_sparse_symmetric(rng, 8, 2)
@@ -385,6 +394,12 @@ def complex_loop_channel(A, cfg, rng):
 )
 @example(seed=0, dim=1, d=1, order=6, n_trials=5, eta=0.0, delta=0.0,
          failure_mode="uniform", time=0.05)  # r = 1
+@example(seed=3, dim=8, d=2, order=1, n_trials=10, eta=1e-3, delta=0.0,
+         failure_mode="worst-case", time=0.05)  # stack holds only I; S = A
+@example(seed=4, dim=16, d=3, order=7, n_trials=150, eta=1e-2, delta=1e-3,
+         failure_mode="worst-case", time=0.5)  # odd K over 3 blocks of <= 64
+@example(seed=5, dim=32, d=3, order=12, n_trials=40, eta=1e-3, delta=1e-3,
+         failure_mode="worst-case", time=0.5)  # 7 powers, blocks of 16 trials
 @example(seed=0, dim=10, d=3, order=12, n_trials=20, eta=1e-2, delta=1e-2,
          failure_mode="worst-case", time=0.5)  # r > 1
 @example(seed=1, dim=16, d=3, order=6, n_trials=150, eta=1e-2, delta=1e-2,
@@ -445,10 +460,16 @@ def test_layer_count_matches_decomposition(seed, dim, d, zero_diagonal):
     assert lcu._layer_count(A) == lcu.one_sparse_decompose(A).n_terms
 
 
+def polar_unitary(Q):
+    """Closest unitary to Q (polar factor via SVD)."""
+    u, _, vh = np.linalg.svd(np.asarray(Q, dtype=np.complex128))
+    return u @ vh
+
+
 def eig_effective_hamiltonian(Q, t):
     """Reference for the Cayley extraction: the principal log through eig
     and an eigenvector inverse."""
-    U = lcu.polar_unitary(Q)
+    U = polar_unitary(Q)
     vals, vecs = np.linalg.eig(U)
     return vecs @ np.diag(-np.angle(vals) / t) @ np.linalg.inv(vecs)
 
@@ -496,3 +517,25 @@ def test_cayley_rejects_eigenvalue_minus_one():
         with pytest.raises(ValueError) as info:
             lcu.extract_effective_hamiltonian(U, 1.0)
         assert not isinstance(info.value, np.linalg.LinAlgError)
+
+
+def test_extraction_norms_match_svd_norms():
+    # simulate_noisy reads its two spectral norms from eigvalsh of Hermitian
+    # differences; extraction reads ||Q - U|| from the singular values
+    for seed in range(4):
+        rng = stream(seed, "lcu", "norms")
+        A = random_sparse_symmetric(rng, 8 + 4 * seed, 2)
+        cfg = lcu.TaylorConfig(order=6, m_disc=10**4, eta=1e-2, delta=1e-3,
+                               n_trials=60, failure_mode="worst-case", time=0.5)
+        rep = lcu.simulate_noisy(A, cfg, rng)
+        Q = rep.effective_channel
+        drift = linalg.norm(Q.conj().T @ Q - np.eye(Q.shape[0]), "spectral")
+        assert abs(rep.unitarity_drift - drift) <= 1e-12
+        dev = linalg.norm(A - rep.effective_hamiltonian, "spectral")
+        assert abs(rep.deviation_spectral - dev) <= 1e-13 * dev
+    # distance to unitary: 0.85 U is 0.15 away and refused, 0.95 U is 0.05
+    # away and kept
+    U = linalg.operator_exp(random_sparse_symmetric(stream(0, "lcu", "scaled"), 6, 2), 0.4)
+    with pytest.raises(ValueError):
+        lcu.extract_effective_hamiltonian(0.85 * U, 0.4)
+    lcu.extract_effective_hamiltonian(0.95 * U, 0.4)
