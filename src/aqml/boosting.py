@@ -132,7 +132,6 @@ class ClassificationResult:
     label: int  # +1 or -1
     confidence: float  # |mass_plus - 1/2|
     mass_plus: float
-    tie: bool = False
     unresolved: bool = False
 
 
@@ -144,8 +143,8 @@ def classify_by_eigenspace(
     """Phase-estimate e^{-iC} on psi for an ensemble operator C (clean,
     `ensemble_operator(spec)`, or attacked, `AttackReport.operator`) and
     aggregate sample mass on positive vs negative eigenphase bands; the
-    class is the sign of mass_plus - 1/2 with exact ties resolved to +1 and
-    flagged.  C may also be given as its eigendecomposition
+    class is the sign of mass_plus - 1/2 with exact ties resolved to +1.
+    C may also be given as its eigendecomposition
     (`linalg.eig_hermitian(C)` or `AttackReport.decomposition`), which the
     phase estimation reads; an operator is decomposed here.  The masses are
     read from the exact phase-estimation distribution.
@@ -166,13 +165,11 @@ def classify_by_eigenspace(
     # eigenvalue mass sitting at phase 0 (E = 0) cannot be assigned a band
     unresolved = mass_zero > 2.0 ** (-bits)
     mass_plus_eff = mass_plus + mass_zero / 2.0
-    tie = abs(mass_plus_eff - 0.5) < 1e-12
     label = 1 if mass_plus_eff >= 0.5 else -1
     return ClassificationResult(
         label=label,
         confidence=abs(mass_plus_eff - 0.5),
         mass_plus=mass_plus_eff,
-        tie=tie,
         unresolved=unresolved,
     )
 
@@ -182,10 +179,9 @@ def classify_by_mean(psi: np.ndarray, C: np.ndarray) -> ClassificationResult:
     kept as the baseline a single compromised classifier can flip."""
     psi = np.asarray(psi, dtype=np.complex128)
     expect = float(np.real(psi.conj() @ C @ psi))
-    tie = abs(expect) < 1e-15
-    label = 1 if expect > 0 or tie else -1
+    label = 1 if expect > 0 or abs(expect) < 1e-15 else -1
     return ClassificationResult(
-        label=label, confidence=abs(expect), mass_plus=(1 + expect) / 2, tie=tie
+        label=label, confidence=abs(expect), mass_plus=(1 + expect) / 2
     )
 
 

@@ -172,10 +172,9 @@ def _validate(subcommand: str, cfg: dict) -> None:
             raise ValueError(
                 f"1.25 * epsilon must be <= the smallest blob's share {share}"
             )
-        min_p = max(2 * pc.epsilon, 1.0 / pc.k)
-        # run_protocol takes a one-round budget even when no round runs
-        kmeans.rotation_budget(dataclasses.replace(pc, rounds=1), min_p)
-        kmeans.rotation_budget(pc, min_p).check_privacy_precondition(pc.n_participants)
+        # run_protocol plans a one-round budget even when no round runs
+        kmeans.planned_budget(dataclasses.replace(pc, rounds=1))
+        kmeans.planned_budget(pc).check_privacy_precondition(pc.n_participants)
 
 
 def run_qpca(cfg: dict, seed: int, out_dir: str) -> int:
@@ -287,7 +286,8 @@ def run_kmeans(cfg: dict, seed: int, out_dir: str) -> int:
     pc = kmeans.ProtocolConfig(
         k=k, d=d, n_participants=N, epsilon=cfg["epsilon"], rounds=cfg["rounds"],
     )
-    init = np.clip(centers * 1.5, -1, 1)
+    # clipping the centers first keeps the product finite
+    init = np.clip(1.5 * np.clip(centers, -1, 1), -1, 1)
     result = kmeans.run_protocol(participants, pc, init, rng)
 
     traj_rows = []

@@ -50,7 +50,6 @@ class UnitDataset:
 
     vectors: np.ndarray  # shape (count, N*(2*count+1))
     dagger_vectors: np.ndarray
-    source: RawDataset
 
     @property
     def count(self) -> int:
@@ -83,15 +82,7 @@ def embed(raw: RawDataset) -> UnitDataset:
     tag_dag[rows, 1 + Nv + rows] = rest
     out, out_dag = ((direction[:, :, None] * t[:, None, :]).reshape(Nv, N * tag_dim)
                     for t in (tag, tag_dag))
-    return UnitDataset(vectors=out, dagger_vectors=out_dag, source=raw)
-
-
-def median(values) -> float:
-    """Middle order statistic; midpoint of the central pair for even counts."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.size == 0:
-        raise ValueError("median of an empty list")
-    return float(np.median(values))
+    return UnitDataset(vectors=out, dagger_vectors=out_dag)
 
 
 def _inner_products(data) -> np.ndarray:
@@ -226,9 +217,6 @@ class DistributionSpec:
             raise ValueError("inverse CDF decreases on [0, 1]")
         if np.any(steps > self.lipschitz * (grid[1] - grid[0]) + 1e-9):
             raise ValueError("inverse CDF violates the declared Lipschitz bound")
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return self.inverse_cdf(rng.random(size))
 
 
 def uniform_dist() -> DistributionSpec:

@@ -1,8 +1,7 @@
 """Privacy-preserving distributed k-means: GHZ-phase aggregation of
 cluster membership and centroid sums, phase-estimation readout with an
-explicit rotation budget, the trace-norm distinguishability analysis of a
-single participant, and group-median robustness against a corrupted
-channel.
+explicit rotation budget, and the trace-norm distinguishability analysis
+of a single participant.
 
 Participants are one `Participants` value: an (N, d) coordinate array with
 entries in [-1, 1] plus an (N,) boolean participation mask."""
@@ -137,23 +136,28 @@ def _phase_readout(
     return min(max(est, lo), 1.0)
 
 
-def rotation_budget(
-    cfg: ProtocolConfig, min_p: float, c1: float = AE_CONSTANT, c2: float = AE_CONSTANT
-) -> RotationBudget:
-    """Per-participant rotation counts for the two readout phases:
-    q1 = c1 R / eps for the k membership probabilities and
-    q2 = c2 R d / (min_p eps) for the centroid components.  A count that is
+def rotation_budget(cfg: ProtocolConfig, min_p: float) -> RotationBudget:
+    """Per-participant rotation counts for the two readout phases, with
+    c = AE_CONSTANT: q1 = c R / eps for the k membership probabilities and
+    q2 = c R d / (min_p eps) for the centroid components.  A count that is
     not a finite float, or whose divisor underflows to 0, is a ValueError."""
     if min_p <= cfg.epsilon:
         raise ValueError("minimum cluster probability must exceed epsilon")
     try:
-        q1 = math.ceil(c1 * cfg.rounds / cfg.epsilon)
-        q2 = math.ceil(c2 * cfg.rounds * cfg.d / (min_p * cfg.epsilon))
+        q1 = math.ceil(AE_CONSTANT * cfg.rounds / cfg.epsilon)
+        q2 = math.ceil(AE_CONSTANT * cfg.rounds * cfg.d / (min_p * cfg.epsilon))
     except (OverflowError, ZeroDivisionError):
         raise ValueError(
             "rotation counts are not finite at this epsilon, rounds and d"
         ) from None
     return RotationBudget(q1=q1, q2=q2)
+
+
+def planned_budget(cfg: ProtocolConfig) -> RotationBudget:
+    """Rotation budget of `cfg.rounds` rounds, planned before any readout:
+    every cluster is taken to hold at least max(2 epsilon, 1/k) of the
+    participants."""
+    return rotation_budget(cfg, max(2 * cfg.epsilon, 1.0 / cfg.k))
 
 
 def _sq_distances(vectors: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -281,8 +285,6 @@ class PrivacyReport:
     p_opt_exact: float
     p_opt_closed_form: float
     bound: float
-    n_participants: int
-    q_total: int
 
     def __post_init__(self):
         if not (0.5 - 1e-12 <= self.p_opt_exact <= 1.0 + 1e-12):
@@ -333,16 +335,12 @@ def privacy_analysis(budget: RotationBudget, n_participants: int) -> PrivacyRepo
     exact = privacy_density_matrix(q, n_participants, 1)
     if abs(exact - closed) > 1e-9:
         raise AssertionError("density-matrix optimum disagrees with the closed form")
-    return PrivacyReport(
-        p_opt_exact=exact, p_opt_closed_form=closed, bound=bound,
-        n_participants=n_participants, q_total=q,
-    )
+    return PrivacyReport(p_opt_exact=exact, p_opt_closed_form=closed, bound=bound)
 
 
 @dataclass
 class ProtocolResult:
     trajectory: list  # list of centroid arrays per round (including seed)
-    probs: list
     budget: RotationBudget
     privacy: PrivacyReport | None
     converged: bool
@@ -368,14 +366,11 @@ def run_protocol(
     trajectory = [centroids.copy()]
     vecs = participants.active
     reference = [centroids.copy()]
-    probs_hist = []
     q1 = q2 = 0
     converged = False
     exhausted = False
     # privacy pre-check budget of one round; it does not depend on the round
-    probe = rotation_budget(
-        replace(cfg, rounds=1), min_p=max(2 * cfg.epsilon, 1.0 / cfg.k)
-    )
+    probe = planned_budget(replace(cfg, rounds=1))
     for _ in range(cfg.rounds):
         # would this round's budget break the allowance?
         next_total = q1 + q2 + probe.total
@@ -397,7 +392,6 @@ def run_protocol(
         move = float(np.max(np.abs(res.centroids - centroids)))
         centroids = res.centroids
         trajectory.append(centroids.copy())
-        probs_hist.append(res.probs)
         if move < tol:
             converged = True
             break
@@ -406,51 +400,7 @@ def run_protocol(
     if budget.total < cfg.n_participants:
         privacy = privacy_analysis(budget, cfg.n_participants)
     return ProtocolResult(
-        trajectory=trajectory, probs=probs_hist, budget=budget, privacy=privacy,
+        trajectory=trajectory, budget=budget, privacy=privacy,
         converged=converged, privacy_exhausted=exhausted,
         classical_reference=reference,
     )
-
-
-def group_median_aggregate(
-    participants: Participants,
-    cfg: ProtocolConfig,
-    init: np.ndarray,
-    groups: int,
-    rng: np.random.Generator,
-    corrupted_groups: set | None = None,
-) -> dict:
-    """Run the protocol independently on `groups` disjoint participant
-    groups and take the componentwise median of the group centroids; a
-    fully corrupted channel (random phases) in one group shifts the
-    aggregate by at most the inter-group spread."""
-    if groups < 3 or groups % 2 == 0:
-        raise ValueError("group count must be odd and at least 3")
-    n = len(participants)
-    if n // groups < 1:
-        raise ValueError("not enough participants per group")
-    corrupted_groups = corrupted_groups or set()
-    # groups must be statistically alike, so split a shuffled index set
-    splits = np.array_split(rng.permutation(n), groups)
-    group_centroids = []
-    for g, idx in enumerate(splits):
-        members = Participants(participants.x[idx], participants.participating[idx])
-        # groups run without the privacy stop: each group reports its
-        # centroids after the configured rounds
-        gcfg = replace(cfg, n_participants=len(members), privacy_delta=None)
-        out = run_protocol(members, gcfg, init, rng)
-        cent = out.trajectory[-1]
-        if g in corrupted_groups:
-            # phase-spamming eavesdropper: readouts are garbage phases, so
-            # the reconstructed centroids are arbitrary points in [-1,1]^d
-            cent = rng.uniform(-1.0, 1.0, cent.shape)
-        group_centroids.append(cent)
-    stack = np.stack(group_centroids)
-    aggregate = np.median(stack, axis=0)
-    spread = float(np.max(np.max(stack, axis=0) - np.min(stack, axis=0)))
-    return {
-        "aggregate": aggregate,
-        "group_centroids": stack,
-        "spread": spread,
-        "corrupted": sorted(corrupted_groups),
-    }

@@ -45,14 +45,6 @@ class EigenDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # column n is the eigenvector of eigenvalues[n]
 
-    @property
-    def dim(self) -> int:
-        return len(self.eigenvalues)
-
-    def reconstruct(self) -> np.ndarray:
-        V = self.eigenvectors
-        return (V * self.eigenvalues) @ V.conj().T
-
 
 def _fix_phases(V: np.ndarray) -> np.ndarray:
     """Rotate each column so its first component above threshold is real

@@ -92,7 +92,6 @@ class MedianSearchConfig:
 @dataclass
 class MedianSearchResult:
     value: float
-    queries: int
     trace: list  # (midpoint, estimate) per iteration
     intervals: list  # normalized (left, right) after each iteration
 
@@ -190,7 +189,6 @@ def binary_search_median(
     run = _lockstep_search(readout, 1, cfg, domain)
     return MedianSearchResult(
         value=float(run.values[0]),
-        queries=counter.total,
         trace=list(zip(run.mids[:, 0].tolist(), run.estimates[:, 0].tolist())),
         intervals=[(left / run.denom, right / run.denom) for left, right in run.intervals],
     )

@@ -81,7 +81,6 @@ class QpcaReport:
     queries: QueryCounter
     norm_shift: float = 0.0
     unresolved: bool = False
-    scale: float = 1.0
 
     def __post_init__(self):
         total = sum(self.histogram.values())
@@ -136,7 +135,6 @@ class QpeSpectrum:
     overlaps: np.ndarray  # |<x|E_n>|^2 summed per bin
     distribution: np.ndarray  # probability of QPE outcome y in [0, 2^bits)
     outcome_bins: np.ndarray  # bin of the eigenvalue outcome y reads as
-    scale: float
     unresolved: bool
     norm_shift: float
     queries: QueryCounter  # charges of the simulated evolution
@@ -177,7 +175,7 @@ def qpca_spectrum(
     counter = QueryCounter()
 
     max_norm = float(np.max(np.abs(M)))
-    d_eff = int(np.max(np.sum(np.abs(M) > 1e-12, axis=1))) if max_norm > 0 else 1
+    d_eff = max(1, lcu.row_sparsity(M))
     scale = 1.0 if max_norm == 0 else 1.0 / (2.0 * max_norm * d_eff)
     dec = linalg.eig_hermitian(M)
     if np.max(np.abs(scale * dec.eigenvalues)) >= math.pi:
@@ -223,7 +221,6 @@ def qpca_spectrum(
                              minlength=len(distinct)),
         distribution=dist,
         outcome_bins=_nearest(distinct, estimates),
-        scale=scale,
         unresolved=unresolved,
         norm_shift=norm_shift,
         queries=counter,
@@ -250,7 +247,6 @@ def qpca_draw(
         queries=counter,
         norm_shift=spectrum.norm_shift,
         unresolved=spectrum.unresolved,
-        scale=spectrum.scale,
     )
 
 
@@ -293,7 +289,7 @@ def poisoning_sweep(
     # both matrices vanish on the same null dimensions, so d and the norm
     # of M - Mp are those of the embedded matrices
     M = (core if core is not None else embedding.robust_pca_core(data))[0]
-    d = int(np.max(np.sum(np.abs(M) > 1e-12, axis=1)))
+    d = lcu.row_sparsity(M)
     # the mean baseline works on the raw vectors: unlike the embedded median
     # construction it has no norm protection, so a spike at the norm bound
     # moves it by about alpha R^2

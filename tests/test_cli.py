@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -145,6 +146,16 @@ def test_kmeans_negative_zero_sigma_runs_as_zero(tmp_path, capsys):
     for name in ("kmeans_trajectory.csv", "kmeans_privacy.csv"):
         assert (read_artifact(str(outs[-0.0]), name)
                 == read_artifact(str(outs[0.0]), name))
+
+
+def test_kmeans_centers_near_float_max_run_without_overflow(tmp_path, capsys):
+    # the seed centroids are 1.5 x the centers, clipped to [-1, 1]; 1.5 x
+    # 1.7e308 itself overflows to inf
+    cfg = write_cfg(tmp_path, "k.json",
+                    {"blob_centers": [[1.7e308, 1.7e308], [-1.7e308, -1.7e308]]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(["kmeans", "--config", cfg, "--out", str(tmp_path)]) == 0
 
 
 # JSON values for the exit-code properties: huge and negative ints, subnormal,

@@ -126,26 +126,6 @@ def test_embed_matches_per_vector_reference(raw):
         assert np.array_equal(np.signbit(got), np.signbit(ref))
 
 
-def test_median_conventions():
-    assert embedding.median([3.0]) == 3.0
-    assert embedding.median([1.0, 2.0, 3.0, 4.0]) == 2.5
-    with pytest.raises(ValueError):
-        embedding.median([])
-
-
-def test_median_concentration():
-    u = stream(0, "emb", "med").random(10**4)
-    assert abs(embedding.median(u) - 0.5) <= 0.02
-
-
-def test_median_equivariance():
-    v = stream(0, "emb", "equiv").normal(size=101)
-    a, b = 2.5, -1.0
-    assert embedding.median(a * v + b) == pytest.approx(
-        a * embedding.median(v) + b, abs=1e-12
-    )
-
-
 def test_robust_pca_identical_vectors():
     data = np.tile([0.3, -0.2, 0.5], (3, 1))
     assert np.allclose(embedding.robust_pca_matrix(data), 0.0, atol=1e-14)
@@ -223,7 +203,7 @@ def test_poison_spike_mean_vs_median():
     rng = stream(0, "emb", "spike")
     dist = embedding.uniform_dist()
     n, alpha, R = 4000, 0.2, 10.0
-    col = dist.sample(rng, n)
+    col = dist.inverse_cdf(rng.random(n))
     vecs = np.zeros((n, 2))
     vecs[:, 0] = col
     raw = embedding.RawDataset(vecs, norm_bound=R)

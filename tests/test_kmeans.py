@@ -1,6 +1,5 @@
 """Private k-means protocol: GHZ phase aggregation, rotation budgets,
-round simulation, distinguishability analysis, and group-median
-aggregation."""
+round simulation and distinguishability analysis."""
 
 import math
 
@@ -47,18 +46,19 @@ def test_ghz_statevector_matches_channel():
 def test_rotation_budget_example():
     cfg = kmeans.ProtocolConfig(k=2, d=2, n_participants=1000, epsilon=0.1,
                                 rounds=1)
-    budget = kmeans.rotation_budget(cfg, min_p=0.5, c1=1.0, c2=1.0)
-    assert budget.q1 == 10
-    assert budget.q2 == 40
-    assert budget.total == 50
+    budget = kmeans.rotation_budget(cfg, min_p=0.5)
+    # c = AE_CONSTANT = 8: q1 = 8 / 0.1, q2 = 8 * 2 / (0.5 * 0.1)
+    assert budget.q1 == 80
+    assert budget.q2 == 320
+    assert budget.total == 400
 
 
 def test_rotation_budget_zero_dim_and_halving():
     with pytest.raises(ValueError, match="d >= 1"):
         kmeans.ProtocolConfig(k=2, d=0, n_participants=100, epsilon=0.1)
     cfg = kmeans.ProtocolConfig(k=2, d=2, n_participants=1000, epsilon=0.2)
-    half = kmeans.rotation_budget(cfg, min_p=0.5, c1=1.0, c2=1.0)
-    assert half.q1 == 5 and half.q2 == 20  # doubling epsilon halves both
+    half = kmeans.rotation_budget(cfg, min_p=0.5)
+    assert half.q1 == 40 and half.q2 == 160  # doubling epsilon halves both
 
 
 @pytest.mark.parametrize("d", [0, -1])
@@ -225,46 +225,6 @@ def test_run_protocol_privacy_delta_zero_runs_nothing():
     assert out.privacy_exhausted
     assert len(out.trajectory) == 1
     assert out.budget.total == 0
-
-
-def test_group_median_identical_groups():
-    rng = stream(0, "km", "gm0")
-    n = 3000
-    cfg = kmeans.ProtocolConfig(k=2, d=2, n_participants=n // 3, epsilon=0.05,
-                                rounds=2)
-    parts = make_blobs(rng, [[0.7, 0.7], [-0.7, -0.7]], 0.05, n)
-    init = np.array([[0.4, 0.4], [-0.4, -0.4]])
-    out = kmeans.group_median_aggregate(parts, cfg, init, groups=3, rng=rng)
-    whole = kmeans.run_protocol(parts, kmeans.ProtocolConfig(
-        k=2, d=2, n_participants=n, epsilon=0.05, rounds=2), init, rng)
-    assert np.max(np.abs(out["aggregate"] - whole.trajectory[-1])) <= (
-        2.0 * cfg.epsilon
-    )
-
-
-def test_group_median_survives_one_corrupted_group():
-    rng = stream(0, "km", "gm1")
-    n = 5000
-    cfg = kmeans.ProtocolConfig(k=2, d=2, n_participants=n // 5, epsilon=0.05,
-                                rounds=2)
-    parts = make_blobs(rng, [[0.7, 0.7], [-0.7, -0.7]], 0.05, n)
-    init = np.array([[0.4, 0.4], [-0.4, -0.4]])
-    out = kmeans.group_median_aggregate(
-        parts, cfg, init, groups=5, rng=rng, corrupted_groups={2}
-    )
-    clean = kmeans.group_median_aggregate(parts, cfg, init, groups=5, rng=rng)
-    assert np.max(np.abs(out["aggregate"] - clean["aggregate"])) <= (
-        2.0 * cfg.epsilon
-    )
-
-
-def test_group_median_rejects_even_groups():
-    rng = stream(0, "km", "gm2")
-    cfg = kmeans.ProtocolConfig(k=2, d=1, n_participants=10, epsilon=0.1)
-    parts = make_blobs(rng, [[0.5], [-0.5]], 0.05, 40)
-    with pytest.raises(ValueError):
-        kmeans.group_median_aggregate(parts, cfg, np.array([[0.4], [-0.4]]),
-                                      groups=4, rng=rng)
 
 
 def test_assign_clusters_deterministic_ties():

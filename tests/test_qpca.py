@@ -17,7 +17,7 @@ def unit_rows(rng, n, dim):
 
 def test_build_matrix_identical_vectors_zero():
     vecs = np.tile([1.0, 0.0, 0.0], (8, 1))
-    unit = embedding.UnitDataset(vecs, vecs.copy(), source=None)
+    unit = embedding.UnitDataset(vecs, vecs.copy())
     M = qpca.build_matrix(unit, mode="exact-median")
     assert np.abs(M).max() <= 1e-12
     # per-entry failures are probabilistic; delta is kept small so the whole
@@ -32,7 +32,7 @@ def test_build_matrix_identical_vectors_zero():
 def test_build_matrix_quantum_close_to_exact():
     rng = stream(0, "qpca", "q-vs-exact")
     vecs = unit_rows(rng, 12, 3)
-    data = embedding.UnitDataset(vecs, vecs.copy(), source=None)
+    data = embedding.UnitDataset(vecs, vecs.copy())
     exact = qpca.build_matrix(data, mode="exact-median")
     quantum = qpca.build_matrix(
         data, mode="quantum-median", gamma=0.2, delta=0.02, rng=rng
@@ -43,7 +43,7 @@ def test_build_matrix_quantum_close_to_exact():
 def test_build_matrix_symmetry_exact():
     rng = stream(1, "qpca", "sym")
     vecs = unit_rows(rng, 10, 4)
-    data = embedding.UnitDataset(vecs, vecs.copy(), source=None)
+    data = embedding.UnitDataset(vecs, vecs.copy())
     M = qpca.build_matrix(
         data, mode="quantum-median", gamma=0.3, delta=0.1, rng=rng
     )
@@ -75,6 +75,16 @@ def test_qpca_sample_superposition_splits_mass():
     sigma = math.sqrt(0.25 / shots)
     assert abs(rep.histogram[0.9] - 0.5) <= 3.0 * sigma + 0.01
     assert rep.lambda_measured <= 3.0 * sigma + 0.01
+
+
+@pytest.mark.parametrize("size", [0.0, 1e-13])
+def test_qpca_spectrum_of_zero_and_subthreshold_matrices(size):
+    # no entry above the sparsity threshold: d_eff is 1, so the scale
+    # 1 / (2 max_norm d_eff) stays finite
+    spec = qpca.qpca_spectrum(size * np.eye(2), np.array([1.0, 0.0]), bits=8)
+    assert spec.bins.tolist() == [0.0]
+    rep = qpca.qpca_draw(spec, 100, stream(0, "qpca", "tiny"))
+    assert rep.histogram == {0.0: 1.0}
 
 
 def test_qpca_sample_rejects_bad_input():
