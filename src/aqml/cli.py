@@ -371,6 +371,10 @@ def main(argv=None) -> int:
     print(json.dumps(header, sort_keys=True))
     try:
         status = _RUNNERS[args.subcommand](cfg, args.seed, args.out)
+    except MemoryError as exc:  # a config too large for this machine
+        print(f"config error: needs more memory than is available: {exc}",
+              file=sys.stderr)
+        return 2
     except Exception as exc:  # a crash is never reported as a violated bound
         traceback.print_exc()
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

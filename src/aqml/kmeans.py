@@ -4,7 +4,18 @@ explicit rotation budget, and the trace-norm distinguishability analysis
 of a single participant.
 
 Participants are one `Participants` value: an (N, d) coordinate array with
-entries in [-1, 1] plus an (N,) boolean participation mask."""
+entries in [-1, 1] plus an (N,) boolean participation mask.  The
+participating rows, `Participants.active`, are stored coordinate-major
+(Fortran order), so each coordinate is one contiguous column for the
+distance sums and the per-cluster reductions.
+
+The round kernels are array work only, and they sum in two fixed orders.
+The exact Lloyd reference (`classical_iteration`) adds each cluster's rows
+in row order (`np.bincount` with weights).  The protocol round (`run_round`)
+sums each cluster's entries of one coordinate column pairwise (numpy's
+`sum` of the compressed column).  For d >= 2 the row-order sums are the
+bits of `vectors[members].mean(axis=0)`; at d = 1 that mean is pairwise, so
+the reference can differ from it in the last bits."""
 
 from __future__ import annotations
 
@@ -42,7 +53,7 @@ class Participants:
     """N participants: row j of `x` is participant j's vector, and
     `participating[j]` says whether they take part (default: all do).
     `active` holds the vectors of the participating rows, in row order; it
-    is computed once and read-only."""
+    is a read-only Fortran-ordered copy, computed once."""
 
     x: np.ndarray
     participating: np.ndarray | None = None
@@ -60,7 +71,9 @@ class Participants:
         if mask.shape != (len(x),):
             raise ValueError("participation mask must have shape (N,)")
         x = np.clip(x, -1.0, 1.0)
-        active = x[mask]
+        # compress the (d, N) transpose and transpose back: one copy, and
+        # each coordinate of the participating rows is a contiguous column
+        active = x.T.compress(mask, axis=1).T
         active.flags.writeable = False
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "participating", mask)
@@ -177,7 +190,11 @@ def assign_clusters(
     so reruns with the same seed reproduce."""
     d2 = _sq_distances(vectors, centroids)
     ties = d2 <= np.min(d2, axis=0) + 1e-15
-    assign = np.argmax(ties, axis=0)
+    # the first tied centroid: writes in descending p leave the lowest one
+    # (a row tied to the last centroid alone keeps the initial k - 1)
+    assign = np.full(len(vectors), len(centroids) - 1, dtype=np.intp)
+    for p in range(len(centroids) - 2, -1, -1):
+        assign[ties[p]] = p
     if rng is not None:
         # one draw per multiply-tied row, in row order
         for j in np.flatnonzero(np.count_nonzero(ties, axis=0) > 1):
@@ -188,16 +205,17 @@ def assign_clusters(
 
 def classical_iteration(vectors: np.ndarray, centroids: np.ndarray):
     """One exact Lloyd step: assign to nearest centroid (the first one on an
-    exact tie), recompute means.  Empty clusters keep their previous
-    centroid."""
+    exact tie), recompute means from row-order sums.  Empty clusters keep
+    their previous centroid."""
+    k = len(centroids)
     assign = assign_clusters(vectors, centroids)
+    counts = np.bincount(assign, minlength=k)
+    probs = counts / len(vectors) if len(vectors) else np.zeros(k)
     new = centroids.copy()
-    probs = np.zeros(len(centroids))
-    for p in range(len(centroids)):
-        members = assign == p
-        probs[p] = members.mean() if len(vectors) else 0.0
-        if members.any():
-            new[p] = vectors[members].mean(axis=0)
+    filled = counts > 0
+    for q in range(vectors.shape[1]):
+        sums = np.bincount(assign, weights=vectors[:, q], minlength=k)
+        new[filled, q] = sums[filled] / counts[filled]
     return new, probs, assign
 
 
@@ -206,8 +224,6 @@ class RoundResult:
     centroids: np.ndarray
     probs: np.ndarray
     budget: RotationBudget
-    empty_clusters: list
-    aborted: bool = False
 
 
 def run_round(
@@ -240,29 +256,30 @@ def run_round(
 
     probs = np.zeros(k)
     sums_est = np.zeros((k, d))
-    empty = []
+    empty = np.zeros(k, dtype=bool)
+    counts = np.bincount(assign, minlength=k)
     for p in range(k):
-        members = assign == p
         # phase 1: each member contributes angle 1/N; the accumulated phase
         # equals the cluster population fraction
-        true_p = members.sum() / N
+        true_p = counts[p] / N
         coarse = _phase_readout(true_p, eps_coarse, rng)
         if coarse <= cfg.epsilon:
             probs[p] = coarse
-            empty.append(p)
+            empty[p] = True
             continue
         eps_fine = cfg.epsilon * coarse / 4.0
         probs[p] = max(_phase_readout(true_p, eps_fine, rng), eps_fine)
-        # phase 2: component sums, angles x_jq / N
+        # phase 2: component sums, angles x_jq / N; each is the pairwise
+        # sum of the cluster's entries of one contiguous coordinate column
+        members = assign == p
         for q in range(d):
-            true_s = vecs[members, q].sum() / N if members.any() else 0.0
+            true_s = vecs[:, q].compress(members).sum() / N
             sums_est[p, q] = _phase_readout(true_s, eps_fine, rng, lo=-1.0)
 
     new_centroids = centroids.copy()
-    for p in range(k):
-        if p not in empty:
-            new_centroids[p] = sums_est[p] / probs[p]
-    if empty and len(vecs):
+    kept = ~empty
+    new_centroids[kept] = sums_est[kept] / probs[kept, None]
+    if empty.any() and len(vecs):
         # empty clusters are reseeded at the participant farthest from every
         # current centroid (public information only)
         dist = np.min(_sq_distances(vecs, centroids), axis=0)
@@ -271,13 +288,9 @@ def run_round(
 
     min_p = float(np.min(probs[probs > cfg.epsilon])) if len(probs[probs > cfg.epsilon]) else 1.0
     budget = rotation_budget(replace(cfg, rounds=1), max(min_p, cfg.epsilon * 1.0001))
-    aborted = len(empty) == k
     if np.sum(probs) > frac + k * eps_coarse + 1e-12:
         raise AssertionError("estimated populations exceed the participation fraction")
-    return RoundResult(
-        centroids=new_centroids, probs=probs, budget=budget,
-        empty_clusters=empty, aborted=aborted,
-    )
+    return RoundResult(centroids=new_centroids, probs=probs, budget=budget)
 
 
 @dataclass

@@ -302,6 +302,18 @@ def test_runner_crash_exits_3(tmp_path, capsys, monkeypatch):
     assert "internal error: RuntimeError" in capsys.readouterr().err
 
 
+def test_config_past_memory_exits_2(tmp_path, capsys):
+    # 2^50 participants ask for petabytes: the first allocation fails at
+    # once on any machine, before anything is written
+    cfg = write_cfg(tmp_path, "huge.json", {"n_participants": 2**50})
+    rc = cli.main(["kmeans", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error: needs more memory than is available" in err
+    assert "internal error" not in err
+    assert not os.path.exists(tmp_path / "out" / "kmeans_trajectory.csv")
+
+
 def test_boost_two_points_redraws_single_class_resamples(tmp_path, capsys):
     # two points make every bootstrap resample a coin flip between one and
     # two classes; single-class resamples are drawn again, never a crash

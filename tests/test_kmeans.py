@@ -119,7 +119,8 @@ def test_run_round_two_clusters_accuracy():
     exact, exact_probs, _ = kmeans.classical_iteration(vecs, init)
     assert np.max(np.abs(res.centroids - exact)) <= cfg.epsilon
     assert np.max(np.abs(res.probs - exact_probs)) <= cfg.epsilon
-    assert not res.aborted
+    # no cluster read as empty
+    assert np.all(res.probs > cfg.epsilon)
 
 
 def test_run_round_zero_participation_aborts():
@@ -127,9 +128,12 @@ def test_run_round_zero_participation_aborts():
     cfg = kmeans.ProtocolConfig(k=2, d=1, n_participants=100, epsilon=0.05)
     parts = kmeans.Participants(np.full((100, 1), 0.5),
                                 participating=np.zeros(100, dtype=bool))
-    res = kmeans.run_round(parts, np.array([[0.5], [-0.5]]), cfg, rng)
-    assert res.aborted
-    assert sorted(res.empty_clusters) == [0, 1]
+    init = np.array([[0.5], [-0.5]])
+    res = kmeans.run_round(parts, init, cfg, rng)
+    # every cluster reads as empty, and with no participant to reseed at,
+    # every centroid stays where it was
+    assert np.all(res.probs <= cfg.epsilon)
+    np.testing.assert_array_equal(res.centroids, init)
 
 
 def test_ratio_error_inequality():
@@ -245,11 +249,16 @@ def test_empty_cluster_reseeded_at_farthest_participant(d):
     init = np.array([[1.0] * d, [-0.5] * d, [-0.2] * d])
     cfg = kmeans.ProtocolConfig(k=3, d=d, n_participants=500, epsilon=0.05)
     res = kmeans.run_round(parts, init, cfg, rng)
-    assert res.empty_clusters == [0]
+    # only cluster 0 reads as empty
+    assert res.probs[0] <= cfg.epsilon
+    assert np.all(res.probs[1:] > cfg.epsilon)
     vecs = parts.active
     dist = np.min(np.sum((vecs[:, None, :] - init[None, :, :]) ** 2, axis=2),
                   axis=1)
     np.testing.assert_array_equal(res.centroids[0], vecs[np.argmax(dist)])
+    # the other centroids are ratio estimates of the exact Lloyd means
+    exact, _, _ = kmeans.classical_iteration(vecs, init)
+    assert np.max(np.abs(res.centroids[1:] - exact[1:])) <= cfg.epsilon
 
 
 @pytest.mark.parametrize("mask", [[True, False, True], None])
@@ -258,6 +267,9 @@ def test_participants_active_is_computed_once(mask):
     parts = kmeans.Participants(x, mask)
     assert parts.active is parts.active
     np.testing.assert_array_equal(parts.active, x[parts.participating])
+    # coordinate-major: each coordinate is one contiguous column
+    assert parts.active.flags.f_contiguous
+    assert not np.shares_memory(parts.active, parts.x)
     with pytest.raises(ValueError):
         parts.active[0, 0] = 0.0
     # the read-only rows are a copy: x stays writable, and writing it
