@@ -71,11 +71,15 @@ def train_bootstrap_ensemble(
     labels: np.ndarray,
     count: int,
     rng: np.random.Generator,
-) -> EnsembleSpec:
+) -> tuple[EnsembleSpec, np.ndarray, linalg.EigenDecomposition]:
     """Bootstrap-resample the labeled data `count` times and fit one
     mean-difference hyperplane (normal mu+ - mu-, midpoint offset folded
     into the lifted coordinate) per resample; uniform ensemble weights.
     A resample that comes out single-class is drawn again.
+
+    Returns the spec, its operator C = ensemble_operator(spec) and C's
+    eigendecomposition, from which the spec's gap_gamma is read, so a
+    caller that classifies with C need not build or decompose it again.
 
     Resamples are drawn as rows of (rows, n) `integers` calls, never more
     rows than two-class resamples are still missing; the generator's
@@ -123,8 +127,10 @@ def train_bootstrap_ensemble(
         normals = np.vstack([normals, normals])
         weights = np.array([0.5, 0.5])
     spec = EnsembleSpec(normals, weights)
-    vals = np.abs(linalg.eig_hermitian(ensemble_operator(spec)).eigenvalues)
-    return replace(spec, gap_gamma=float(2.0 * np.min(vals)))
+    C = ensemble_operator(spec)
+    dec = linalg.eig_hermitian(C)
+    gap = float(2.0 * np.min(np.abs(dec.eigenvalues)))
+    return replace(spec, gap_gamma=gap), C, dec
 
 
 @dataclass

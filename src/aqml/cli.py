@@ -185,14 +185,6 @@ def run_qpca(cfg: dict, seed: int, out_dir: str) -> int:
         raw_vecs = rng.uniform(-1, 1, (cfg["n_vectors"], cfg["dim"]))
         raw_vecs *= 0.9 * cfg["norm_bound"] / np.max(np.linalg.norm(raw_vecs, axis=1))
         raw = embedding.RawDataset(raw_vecs, norm_bound=cfg["norm_bound"])
-        # the clean matrix and its QPE distribution do not depend on alpha
-        core = embedding.robust_pca_core(raw)
-        M, null_dim = core
-        x = np.zeros(M.shape[0])
-        x[0] = 1.0
-        spectrum = qpca.qpca_spectrum(
-            M, x, bits=cfg["sample_bits"], null_dim=null_dim
-        )
         specs = [
             embedding.ContaminationSpec(
                 alpha=alpha, strategy="spike-direction",
@@ -200,7 +192,14 @@ def run_qpca(cfg: dict, seed: int, out_dir: str) -> int:
             )
             for alpha in cfg["alphas"]
         ]
-        reports = qpca.poisoning_sweep(raw, specs, L=cfg["lipschitz"], core=core)
+        # the sweep builds the clean core with every poisoned one; the clean
+        # core's QPE distribution does not depend on alpha
+        (M, null_dim), reports = qpca.poisoning_sweep(raw, specs, L=cfg["lipschitz"])
+        x = np.zeros(M.shape[0])
+        x[0] = 1.0
+        spectrum = qpca.qpca_spectrum(
+            M, x, bits=cfg["sample_bits"], null_dim=null_dim
+        )
         for alpha, rep in zip(cfg["alphas"], reports):
             samp = qpca.qpca_draw(
                 spectrum, cfg["sample_shots"],
@@ -232,12 +231,12 @@ def run_boost(cfg: dict, seed: int, out_dir: str) -> int:
              rng.normal(-1.5, 0.4, (n - n // 2, cfg["dim"]))]
         )
         y = np.array([1] * (n // 2) + [-1] * (n - n // 2))
-        spec = boosting.train_bootstrap_ensemble(X, y, cfg["n_classifiers"], rng)
+        # training builds and decomposes C once; every attack reuses both
+        spec, C, dec = boosting.train_bootstrap_ensemble(
+            X, y, cfg["n_classifiers"], rng
+        )
         v = np.concatenate([X[0], [1.0]])
         psi = v / np.linalg.norm(v)
-        # C is built and decomposed once; every attack reuses both
-        C = boosting.ensemble_operator(spec)
-        dec = linalg.eig_hermitian(C)
         clean = boosting.classify_by_eigenspace(psi, dec, bits=cfg["bits"])
         mean = boosting.classify_by_mean(psi, C)
         for alpha in cfg["alphas"]:

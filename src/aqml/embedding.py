@@ -86,26 +86,39 @@ def embed(raw: RawDataset) -> UnitDataset:
 
 
 def _inner_products(data) -> np.ndarray:
-    """Matrix ip[j, k] = e_k^T x_j: the rows of the data, not copied."""
+    """Matrix ip[j, k] = e_k^T x_j: the rows of the data, not copied.  An
+    array may also be a stack (..., count, dim) of such matrices."""
     if isinstance(data, (UnitDataset, RawDataset)):
         return data.vectors
     vecs = np.asarray(data, dtype=np.float64)
-    if vecs.ndim != 2:
+    if vecs.ndim < 2:
         raise ValueError("expected a 2-D array of row vectors")
     return vecs
 
 
+# products per np.median call of robust_pca_matrix: about 2^20 values
+_MEDIAN_BLOCK_VALUES = 2**20
+
+
 def robust_pca_matrix(data) -> np.ndarray:
     """Median analogue of the covariance matrix:
-    M[k, l] = median_j((ip_kj - median_j ip_kj) * (ip_lj - median_j ip_lj))."""
+    M[k, l] = median_j((ip_kj - median_j ip_kj) * (ip_lj - median_j ip_lj)).
+
+    A stack (..., count, dim) of datasets gives the stack (..., dim, dim)
+    of their matrices.  Every entry's median comes from one np.median call
+    over the (..., count, rows, dim) products of a block of rows k, with
+    as many rows as keep the block within _MEDIAN_BLOCK_VALUES: all dim
+    rows, and so one call, unless the stack is large.
+    """
     ips = _inner_products(data)
-    dev = ips - np.median(ips, axis=0, keepdims=True)
-    dim = ips.shape[1]
-    M = np.empty((dim, dim))
-    for k in range(dim):
-        prods = dev[:, k, None] * dev  # (count, dim) products against column k
-        M[k] = np.median(prods, axis=0)
-    return (M + M.T) / 2.0
+    dev = ips - np.median(ips, axis=-2, keepdims=True)
+    dim = dev.shape[-1]
+    M = np.empty(dev.shape[:-2] + (dim, dim))
+    rows = max(1, _MEDIAN_BLOCK_VALUES // max(1, dev.size))
+    for k in range(0, dim, rows):
+        prods = dev[..., :, k:k + rows, None] * dev[..., :, None, :]
+        M[..., k:k + rows, :] = np.median(prods, axis=-3)
+    return (M + np.swapaxes(M, -1, -2)) / 2.0
 
 
 def robust_pca_dim(count: int, dim: int) -> int:
@@ -115,7 +128,7 @@ def robust_pca_dim(count: int, dim: int) -> int:
     return dim if count >= 3 else dim * (2 * count + 1)
 
 
-def robust_pca_core(raw: RawDataset) -> tuple[np.ndarray, int]:
+def robust_pca_core(raw) -> tuple[np.ndarray, int]:
     """robust_pca_matrix(embed(raw)) as its nonzero block plus the number of
     dimensions left out, on which the full matrix is 0.
 
@@ -125,14 +138,25 @@ def robust_pca_core(raw: RawDataset) -> tuple[np.ndarray, int]:
     inner products are x_j / R: the block is robust_pca_matrix(x / R).  With
     R = 0 the embedding puts no weight on tag 0 and the block is 0.  Fewer
     than 3 vectors give the full matrix and no null dimension.
+
+    `raw` may also be a list of datasets with one count, dim and norm bound,
+    such as a dataset and its poisoned copies: their blocks come as one
+    (len(raw), side, side) stack from one robust_pca_matrix call.
     """
-    side = robust_pca_dim(raw.count, raw.dim)
-    full = raw.dim * (2 * raw.count + 1)
+    stacked = not isinstance(raw, RawDataset)
+    raws = list(raw) if stacked else [raw]
+    count, dim, R = raws[0].count, raws[0].dim, raws[0].norm_bound
+    if any((r.count, r.dim, r.norm_bound) != (count, dim, R) for r in raws):
+        raise ValueError("stacked datasets must share count, dim and norm bound")
+    side = robust_pca_dim(count, dim)
+    full = dim * (2 * count + 1)
     if side == full:
-        return robust_pca_matrix(embed(raw)), 0
-    if raw.norm_bound == 0:
-        return np.zeros((side, side)), full - side
-    return robust_pca_matrix(raw.vectors / raw.norm_bound), full - side
+        M = robust_pca_matrix(np.stack([embed(r).vectors for r in raws]))
+    elif R == 0:
+        M = np.zeros((len(raws), side, side))
+    else:
+        M = robust_pca_matrix(np.stack([r.vectors for r in raws]) / R)
+    return (M if stacked else M[0]), full - side
 
 
 def classical_pca_matrix(data) -> np.ndarray:

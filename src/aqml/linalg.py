@@ -48,15 +48,13 @@ class EigenDecomposition:
 
 def _fix_phases(V: np.ndarray) -> np.ndarray:
     """Rotate each column so its first component above threshold is real
-    positive, making decompositions reproducible."""
-    V = V.copy()
-    for n in range(V.shape[1]):
-        col = V[:, n]
-        idx = np.argmax(np.abs(col) > 1e-9)
-        pivot = col[idx]
-        if pivot != 0:
-            V[:, n] = col * (abs(pivot) / pivot)
-    return V
+    positive, making decompositions reproducible.  A column with no such
+    component is rotated by its first one, and left as it is when that is
+    0."""
+    pivot = V[(np.abs(V) > 1e-9).argmax(axis=0), np.arange(V.shape[1])]
+    live = pivot != 0
+    phase = np.divide(np.abs(pivot), pivot, out=np.ones_like(pivot), where=live)
+    return np.multiply(V, phase, out=V.copy(), where=live)
 
 
 def eig_hermitian(H) -> EigenDecomposition:
@@ -80,7 +78,7 @@ def norm(A, kind: str = "spectral") -> float:
     (sum of singular values) or 'max-entry'."""
     A = as_operator(A)
     if kind == "spectral":
-        return float(np.linalg.norm(A, 2))
+        return float(np.linalg.svd(A, compute_uv=False).max())
     if kind == "trace":
         return float(np.linalg.norm(A, "nuc"))
     if kind == "max-entry":

@@ -198,9 +198,15 @@ def test_bootstrap_training_basics():
     ])
     y = np.array([1] * (n // 2) + [-1] * (n // 2))
     replay = copy.deepcopy(rng)
-    spec = boosting.train_bootstrap_ensemble(X, y, count=8, rng=rng)
+    spec, C, dec = boosting.train_bootstrap_ensemble(X, y, count=8, rng=rng)
     assert spec.normals.shape == (8, 3)
     assert spec.weights.sum() == pytest.approx(1.0)
+    # the returned operator and decomposition are the spec's, and give its gap
+    assert np.array_equal(C, boosting.ensemble_operator(spec))
+    own = linalg.eig_hermitian(C)
+    assert np.array_equal(dec.eigenvalues, own.eigenvalues)
+    assert np.array_equal(dec.eigenvectors, own.eigenvectors)
+    assert spec.gap_gamma == 2.0 * np.min(np.abs(dec.eigenvalues))
     excluded = []
     for row in spec.normals:
         idx = replay.integers(0, n, size=n)
@@ -257,7 +263,7 @@ def test_batched_bootstrap_matches_per_resample_draws(
     want = bootstrap_loop(X, y, count, ref_rng)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(boosting, "_BOOTSTRAP_BATCH_VALUES", batch_values)
-        spec = boosting.train_bootstrap_ensemble(X, y, count, rng)
+        spec = boosting.train_bootstrap_ensemble(X, y, count, rng)[0]
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     if dim > 1:
         # the per-resample mean of a (rows, dim) block adds rows in order
@@ -292,7 +298,7 @@ def test_bootstrap_single_member_duplicated():
     rng = stream(1, "boost", "single")
     X = rng.normal(size=(40, 2))
     y = np.array([1] * 20 + [-1] * 20)
-    spec = boosting.train_bootstrap_ensemble(X, y, count=1, rng=rng)
+    spec = boosting.train_bootstrap_ensemble(X, y, count=1, rng=rng)[0]
     assert spec.normals.shape == (2, 3)
     assert np.allclose(spec.normals[0], spec.normals[1])
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aqml import linalg
 from aqml.util import stream
@@ -143,3 +145,65 @@ def test_sparse_pattern_norm_bound():
         assert linalg.norm(diff, "spectral") <= (d_eff + 2) * linalg.norm(
             diff, "max-entry"
         ) + 1e-12
+
+
+def fix_phases_loop(V):
+    """The former column loop of linalg._fix_phases, kept as the reference."""
+    V = V.copy()
+    for n in range(V.shape[1]):
+        col = V[:, n]
+        idx = np.argmax(np.abs(col) > 1e-9)
+        pivot = col[idx]
+        if pivot != 0:
+            V[:, n] = col * (abs(pivot) / pivot)
+    return V
+
+
+def same_bits(a, b):
+    """Equal values with equal signs of zero, in both parts."""
+    return (np.array_equal(a, b)
+            and np.array_equal(np.signbit(a.real), np.signbit(b.real))
+            and np.array_equal(np.signbit(a.imag), np.signbit(b.imag)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    dim=st.integers(1, 7),
+    kind=st.sampled_from(["real", "complex", "grid", "identity"]),
+    seed=st.integers(0, 2**32 - 1),
+    faint=st.booleans(),
+)
+def test_array_phase_fix_matches_the_column_loop(dim, kind, seed, faint):
+    # grid and identity matrices have degenerate spectra; a faint column has
+    # no component above the threshold, and its pivot is its first entry
+    rng = np.random.default_rng(seed)
+    if kind == "identity":
+        H = np.eye(dim)
+    elif kind == "grid":
+        A = rng.integers(-1, 2, size=(dim, dim)) + 1j * rng.integers(-1, 2, size=(dim, dim))
+        H = A + A.conj().T
+    else:
+        A = rng.normal(size=(dim, dim))
+        if kind == "complex":
+            A = A + 1j * rng.normal(size=(dim, dim))
+        H = A + A.conj().T
+    V = np.linalg.eigh(linalg.check_hermitian(H))[1]
+    assert same_bits(linalg.eig_hermitian(H).eigenvectors, fix_phases_loop(V))
+    if faint:
+        V[:, 0] = 1e-10 * V[:, 0]
+        V[:, -1] = 0.0
+        V[-1, -1] = -1e-12j
+    assert same_bits(linalg._fix_phases(V), fix_phases_loop(V))
+    V[:, 0] = 0.0  # a zero pivot leaves the column as it is
+    assert same_bits(linalg._fix_phases(V), fix_phases_loop(V))
+
+
+@settings(max_examples=200, deadline=None)
+@given(dim=st.integers(1, 7), seed=st.integers(0, 2**32 - 1),
+       scale=st.floats(-6, 6), complex_=st.booleans())
+def test_spectral_norm_matches_numpy_norm(dim, seed, scale, complex_):
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(dim, dim)) * 10.0**scale
+    if complex_:
+        A = A + 1j * rng.normal(size=(dim, dim))
+    assert linalg.norm(A, "spectral") == float(np.linalg.norm(A.astype(complex), 2))

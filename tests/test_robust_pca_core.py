@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aqml import embedding, qpca
+from aqml import embedding, linalg, qpca
 from aqml.util import stream
 
 
@@ -98,3 +98,108 @@ def test_spectrum_null_dimension_is_a_zero_bin_with_no_overlap():
     assert spec.overlaps.tolist() == [0.0, 0.0, 1.0]
     with pytest.raises(ValueError):
         qpca.qpca_spectrum(M, np.array([1.0, 0.0]), null_dim=-1)
+
+
+def robust_pca_matrix_loop(ips):
+    """The former build of robust_pca_matrix, one row k at a time, kept as
+    the reference for the batched median."""
+    dev = ips - np.median(ips, axis=0, keepdims=True)
+    dim = ips.shape[1]
+    M = np.empty((dim, dim))
+    for k in range(dim):
+        M[k] = np.median(dev[:, k, None] * dev, axis=0)
+    return (M + M.T) / 2.0
+
+
+def robust_pca_core_loop(raw):
+    """The former per-dataset robust_pca_core on the loop reference."""
+    side = embedding.robust_pca_dim(raw.count, raw.dim)
+    full = raw.dim * (2 * raw.count + 1)
+    if side == full:
+        return robust_pca_matrix_loop(embedding.embed(raw).vectors), 0
+    if raw.norm_bound == 0:
+        return np.zeros((side, side)), full - side
+    return robust_pca_matrix_loop(raw.vectors / raw.norm_bound), full - side
+
+
+@st.composite
+def dataset_stacks(draw):
+    """1-4 datasets of one count (1-9) and dim on a small integer grid, so
+    ties and zero rows are common; some rows repeat an earlier one, and the
+    shared norm bound is tight or, for all-zero data, 0."""
+    size = draw(st.integers(1, 4))
+    count = draw(st.integers(1, 9))
+    dim = draw(st.integers(1, 4))
+    grid = st.lists(st.integers(-2, 2), min_size=count * dim, max_size=count * dim)
+    vecs = np.array([draw(grid) for _ in range(size)], dtype=np.float64)
+    vecs = vecs.reshape(size, count, dim) * draw(st.sampled_from([0.1, 1.0, 3.0]))
+    for j, src in enumerate(draw(st.lists(st.integers(0, count - 1),
+                                          min_size=count, max_size=count))):
+        if src < j and draw(st.booleans()):
+            vecs[:, j] = vecs[:, src]
+    if draw(st.integers(0, 4)) == 0:
+        vecs[:] = 0.0
+    top = float(np.max(np.linalg.norm(vecs, axis=-1)))
+    bound = top if top > 0.0 else draw(st.sampled_from([0.0, 1.0]))
+    return [embedding.RawDataset(v, norm_bound=bound) for v in vecs]
+
+
+@settings(max_examples=300, deadline=None)
+@given(raws=dataset_stacks(), block_values=st.sampled_from([1, 5, 2**20]))
+def test_stacked_median_matrix_matches_the_row_loop(raws, block_values):
+    # a small block budget splits the products into several median calls
+    stack = np.stack([r.vectors for r in raws])
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(embedding, "_MEDIAN_BLOCK_VALUES", block_values)
+        got = embedding.robust_pca_matrix(stack)
+    assert np.array_equal(got, np.stack([robust_pca_matrix_loop(v) for v in stack]))
+    assert np.array_equal(embedding.robust_pca_matrix(raws[0]), got[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(raws=dataset_stacks(), block_values=st.sampled_from([1, 5, 2**20]))
+def test_stacked_core_matches_one_call_per_dataset(raws, block_values):
+    # covers the N_v < 3 full embedding and the R = 0 zero core
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(embedding, "_MEDIAN_BLOCK_VALUES", block_values)
+        cores, null_dim = embedding.robust_pca_core(raws)
+    assert cores.shape[0] == len(raws)
+    for raw, core in zip(raws, cores):
+        want, want_null = robust_pca_core_loop(raw)
+        own, own_null = embedding.robust_pca_core(raw)
+        assert null_dim == want_null == own_null
+        assert np.array_equal(core, want)
+        assert np.array_equal(own, want)
+
+
+def test_stacked_core_rejects_mismatched_datasets():
+    a = embedding.RawDataset(np.eye(3), norm_bound=1.0)
+    for b in (embedding.RawDataset(np.eye(3), norm_bound=2.0),
+              embedding.RawDataset(np.eye(4)[:3], norm_bound=1.0),
+              embedding.RawDataset(np.eye(3)[:2], norm_bound=1.0)):
+        with pytest.raises(ValueError):
+            embedding.robust_pca_core([a, b])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    raws=dataset_stacks(),
+    alphas=st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.34, 0.49]), max_size=4),
+    strategy=st.sampled_from(["spike-direction", "replace-prefix"]),
+)
+def test_stacked_poisoning_norms_match_linalg_norm(raws, alphas, strategy):
+    raw = raws[0]
+    specs = [embedding.ContaminationSpec(alpha=a, strategy=strategy, seed=i)
+             for i, a in enumerate(alphas)]
+    (M, null_dim), reports = qpca.poisoning_sweep(raw, specs, L=2.0)
+    want_M, want_null = embedding.robust_pca_core(raw)
+    assert np.array_equal(M, want_M) and null_dim == want_null
+    C = embedding.classical_pca_matrix(raw)
+    assert len(reports) == len(specs)
+    for spec, rep in zip(specs, reports):
+        poisoned = embedding.poison(raw, spec)
+        Mp = embedding.robust_pca_core(poisoned)[0]
+        Cp = embedding.classical_pca_matrix(poisoned)
+        assert rep["norm"] == linalg.norm(M - Mp, "spectral")
+        assert rep["mean_method_norm"] == linalg.norm(C - Cp, "spectral")
+        assert rep == qpca.poisoning_experiment(raw, spec, L=2.0)
