@@ -25,6 +25,13 @@ CSV_SCHEMA_VERSION = "aqml-csv-1"
 
 
 def _write_csv(path, columns, rows):
+    """Write one artifact as a new file.  An existing file (or symlink) at
+    `path` is unlinked first: truncating a non-empty file in place can cost
+    a writeback when it is closed, which creating a new one does not."""
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
     with open(path, "w", newline="") as fh:
         fh.write(f"# {CSV_SCHEMA_VERSION}\n")
         writer = csv.writer(fh)
@@ -269,19 +276,31 @@ def run_boost(cfg: dict, seed: int, out_dir: str) -> int:
     return status
 
 
+def _blobs(rng, centers: np.ndarray, sigma: float, n: int) -> np.ndarray:
+    """n points in shuffled order from k = len(centers) Gaussian blobs of
+    width |sigma|, clipped to [-1, 1]: blob i holds n // k points, one more
+    for i < n % k.  One standard normal draw, scaled and shifted per blob,
+    gives the bits and the generator state of one
+    `rng.normal(center, sigma, (m, d))` per blob (which rejects the -0.0
+    that the sigma range admits)."""
+    k = len(centers)
+    X = rng.standard_normal((n, centers.shape[1]))
+    X *= abs(sigma)
+    stop = 0
+    for i, c in enumerate(centers):
+        start, stop = stop, stop + n // k + (i < n % k)
+        X[start:stop] += c
+    np.clip(X, -1, 1, out=X)
+    return np.take(X, rng.permutation(n), axis=0)
+
+
 def run_kmeans(cfg: dict, seed: int, out_dir: str) -> int:
     rng = stream(seed, "kmeans")
     centers = np.asarray(cfg["blob_centers"], dtype=np.float64)
     k, d = cfg["k"], cfg["d"]
     N = cfg["n_participants"]
-    sizes = [N // k + (1 if i < N % k else 0) for i in range(k)]
-    X = np.vstack(
-        # abs: rng.normal rejects the scale -0.0, which the range admits
-        [np.clip(rng.normal(c, abs(cfg["blob_sigma"]), (m, d)), -1, 1)
-         for c, m in zip(centers, sizes)]
-    )
-    X = X[rng.permutation(N)]
-    participants = kmeans.Participants(X)
+    participants = kmeans.Participants(
+        _blobs(rng, centers, cfg["blob_sigma"], N))
     pc = kmeans.ProtocolConfig(
         k=k, d=d, n_participants=N, epsilon=cfg["epsilon"], rounds=cfg["rounds"],
     )

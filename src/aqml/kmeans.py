@@ -184,31 +184,45 @@ def _sq_distances(vectors: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
 
 def assign_clusters(
-    vectors: np.ndarray, centroids: np.ndarray, rng: np.random.Generator | None = None
-) -> np.ndarray:
+    vectors: np.ndarray,
+    centroids: np.ndarray,
+    rng: np.random.Generator | None = None,
+    return_first: bool = False,
+):
     """Nearest-centroid assignment; exact distance ties are broken by RNG
-    so reruns with the same seed reproduce."""
+    so reruns with the same seed reproduce.  Without `rng` a tied row takes
+    its first tied centroid.  With `return_first` the result is the pair
+    (assignment, first-tie assignment); the two are one array when no row
+    is multiply tied."""
     d2 = _sq_distances(vectors, centroids)
     ties = d2 <= np.min(d2, axis=0) + 1e-15
     # the first tied centroid: writes in descending p leave the lowest one
     # (a row tied to the last centroid alone keeps the initial k - 1)
-    assign = np.full(len(vectors), len(centroids) - 1, dtype=np.intp)
+    first = np.full(len(vectors), len(centroids) - 1, dtype=np.intp)
     for p in range(len(centroids) - 2, -1, -1):
-        assign[ties[p]] = p
-    if rng is not None:
+        first[ties[p]] = p
+    assign = first
+    # a row of finite vectors (all `Participants` rows) ties at least once,
+    # so more ties than rows means some row ties more than once
+    if rng is not None and np.count_nonzero(ties) > len(vectors):
+        assign = first.copy()
         # one draw per multiply-tied row, in row order
         for j in np.flatnonzero(np.count_nonzero(ties, axis=0) > 1):
             tied = np.flatnonzero(ties[:, j])
             assign[j] = tied[rng.integers(0, len(tied))]
-    return assign
+    return (assign, first) if return_first else assign
 
 
-def classical_iteration(vectors: np.ndarray, centroids: np.ndarray):
+def classical_iteration(
+    vectors: np.ndarray, centroids: np.ndarray, assign: np.ndarray | None = None
+):
     """One exact Lloyd step: assign to nearest centroid (the first one on an
     exact tie), recompute means from row-order sums.  Empty clusters keep
-    their previous centroid."""
+    their previous centroid.  A caller that already holds that first-tie
+    assignment of `vectors` to `centroids` passes it as `assign`."""
     k = len(centroids)
-    assign = assign_clusters(vectors, centroids)
+    if assign is None:
+        assign = assign_clusters(vectors, centroids)
     counts = np.bincount(assign, minlength=k)
     probs = counts / len(vectors) if len(vectors) else np.zeros(k)
     new = centroids.copy()
@@ -224,6 +238,9 @@ class RoundResult:
     centroids: np.ndarray
     probs: np.ndarray
     budget: RotationBudget
+    # first-tie assignment of the participating rows to the round's input
+    # centroids: the assignment of the exact Lloyd step from those centroids
+    first_assign: np.ndarray
 
 
 def run_round(
@@ -247,7 +264,10 @@ def run_round(
     N = cfg.n_participants
     vecs = participants.active
     frac = len(vecs) / N
-    assign = assign_clusters(vecs, centroids, rng) if len(vecs) else np.array([], int)
+    if len(vecs):
+        assign, first = assign_clusters(vecs, centroids, rng, return_first=True)
+    else:
+        assign = first = np.array([], dtype=np.intp)
 
     # ratio error budget: |S_hat/P_hat - S/P| <= (e_s + e_p)/P_hat, so a
     # coarse population read picks the scale and the refined population and
@@ -290,7 +310,8 @@ def run_round(
     budget = rotation_budget(replace(cfg, rounds=1), max(min_p, cfg.epsilon * 1.0001))
     if np.sum(probs) > frac + k * eps_coarse + 1e-12:
         raise AssertionError("estimated populations exceed the participation fraction")
-    return RoundResult(centroids=new_centroids, probs=probs, budget=budget)
+    return RoundResult(centroids=new_centroids, probs=probs, budget=budget,
+                       first_assign=first)
 
 
 @dataclass
@@ -400,7 +421,10 @@ def run_protocol(
         q2 += res.budget.q2
         ref = reference[-1]
         if len(vecs):
-            ref, _, _ = classical_iteration(vecs, ref)
+            # round 1 starts both from the seed, so the round's first-tie
+            # assignment is the Lloyd step's and its distances are not redone
+            ref, _, _ = classical_iteration(
+                vecs, ref, res.first_assign if len(reference) == 1 else None)
         reference.append(ref)
         move = float(np.max(np.abs(res.centroids - centroids)))
         centroids = res.centroids

@@ -53,7 +53,9 @@ def _fix_phases(V: np.ndarray) -> np.ndarray:
     0."""
     pivot = V[(np.abs(V) > 1e-9).argmax(axis=0), np.arange(V.shape[1])]
     live = pivot != 0
-    phase = np.divide(np.abs(pivot), pivot, out=np.ones_like(pivot), where=live)
+    phase = np.ones_like(pivot)
+    # numpy scalar division: the complex ufunc divide rounds differently
+    phase[live] = [abs(p) / p for p in pivot[live]]
     return np.multiply(V, phase, out=V.copy(), where=live)
 
 

@@ -149,6 +149,82 @@ def test_kmeans_negative_zero_sigma_runs_as_zero(tmp_path, capsys):
                 == read_artifact(str(outs[0.0]), name))
 
 
+def blobs_reference(rng, centers, sigma, n):
+    """The former blob draw of `run_kmeans`, kept as the reference: one
+    `rng.normal` per blob, stacked, then a permuted copy."""
+    k, d = centers.shape
+    sizes = [n // k + (1 if i < n % k else 0) for i in range(k)]
+    X = np.vstack([np.clip(rng.normal(c, abs(sigma), (m, d)), -1, 1)
+                   for c, m in zip(centers, sizes)])
+    return X[rng.permutation(n)]
+
+
+_CENTER_VALUES = st.one_of(
+    st.floats(-2.0, 2.0),
+    st.sampled_from([0.0, -0.0, 1.7e308, -1.7e308, 1.7976931348623157e308,
+                     -1.7976931348623157e308]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    k=st.integers(1, 4),
+    d=st.integers(1, 8),
+    n=st.integers(1, 60),
+    sigma=st.sampled_from([0.0, -0.0, 0.05, 1e150]),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_blob_draw_matches_per_blob_normals(k, d, n, sigma, data, seed):
+    centers = np.array(
+        data.draw(st.lists(st.lists(_CENTER_VALUES, min_size=d, max_size=d),
+                           min_size=k, max_size=k)), dtype=np.float64)
+    rng_ref = np.random.default_rng(seed)
+    rng_new = np.random.default_rng(seed)
+    want = blobs_reference(rng_ref, centers, sigma, n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = cli._blobs(rng_new, centers, sigma, n)
+    assert got.shape == want.shape == (n, d)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
+def test_write_csv_over_a_longer_file_writes_the_fresh_bytes(tmp_path):
+    columns = ["a", "b"]
+    rows = [[1, 0.5], [2, float("nan")], ["x", -0.0]]
+    cli._write_csv(tmp_path / "fresh.csv", columns, rows)
+    path = tmp_path / "old.csv"
+    path.write_bytes(b"stale,row\n" * 1000)
+    cli._write_csv(path, columns, rows)
+    assert path.read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+
+
+def test_symlink_at_an_artifact_path_is_replaced(tmp_path, capsys):
+    # the artifact is a new file: the link goes, and its target is untouched
+    out = tmp_path / "out"
+    out.mkdir()
+    target = tmp_path / "target.csv"
+    target.write_bytes(b"keep me\n")
+    link = out / "kmeans_trajectory.csv"
+    link.symlink_to(target)
+    cfg = write_cfg(tmp_path, "k.json", {"n_participants": 2000, "rounds": 1})
+    assert cli.main(["kmeans", "--config", cfg, "--out", str(out)]) == 0
+    assert not link.is_symlink() and link.is_file()
+    assert target.read_bytes() == b"keep me\n"
+    assert link.read_bytes().startswith(f"# {cli.CSV_SCHEMA_VERSION}\n".encode())
+
+
+def test_directory_at_an_artifact_path_exits_3(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "kmeans_privacy.csv").mkdir(parents=True)
+    cfg = write_cfg(tmp_path, "k.json", {"n_participants": 2000, "rounds": 1})
+    assert cli.main(["kmeans", "--config", cfg, "--out", str(out)]) == 3
+    assert "internal error" in capsys.readouterr().err
+    assert (out / "kmeans_privacy.csv").is_dir()
+
+
 def test_kmeans_centers_near_float_max_run_without_overflow(tmp_path, capsys):
     # the seed centroids are 1.5 x the centers, clipped to [-1, 1]; 1.5 x
     # 1.7e308 itself overflows to inf

@@ -220,6 +220,34 @@ def test_classical_reference_aligned_with_trajectory(masked):
         ref, _, _ = kmeans.classical_iteration(parts.active, ref)
 
 
+def test_round_one_reuses_its_assignment_for_the_lloyd_step(monkeypatch):
+    # round 1 and its Lloyd step start from the seed: one distance pass for
+    # both, then one each in round 2 (no cluster empties, so no reseed pass)
+    rng = stream(0, "km", "reuse")
+    n = 2000
+    parts = make_blobs(rng, [[0.6, 0.6], [-0.6, -0.6]], 0.05, n)
+    cfg = kmeans.ProtocolConfig(k=2, d=2, n_participants=n, epsilon=0.05,
+                                rounds=2, convergence_tol=0.0)
+    init = np.array([[0.3, 0.2], [-0.3, -0.2]])
+    calls = []
+    original = kmeans._sq_distances
+
+    def counted(vectors, centroids):
+        calls.append(centroids.copy())
+        return original(vectors, centroids)
+
+    monkeypatch.setattr(kmeans, "_sq_distances", counted)
+    out = kmeans.run_protocol(parts, cfg, init, rng)
+    monkeypatch.undo()
+    assert len(out.trajectory) == 3
+    assert len(calls) == 3
+    assert np.array_equal(calls[0], init)
+    new, _, _ = kmeans.classical_iteration(parts.active, init)
+    assert np.array_equal(out.classical_reference[1], new)
+    again, _, _ = kmeans.classical_iteration(parts.active, new)
+    assert np.array_equal(out.classical_reference[2], again)
+
+
 def test_run_protocol_privacy_delta_zero_runs_nothing():
     rng = stream(0, "km", "pd0")
     cfg = kmeans.ProtocolConfig(k=2, d=1, n_participants=1000, epsilon=0.1,

@@ -111,6 +111,33 @@ def test_assign_clusters_draws_once_per_tied_row():
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
+@settings(max_examples=200, deadline=None)
+@given(tied_instances(), st.integers(0, 2**32 - 1))
+def test_first_tie_assignment_is_the_one_before_tie_breaks(instance, seed):
+    vectors, centroids = instance
+    rng_ref = np.random.default_rng(seed)
+    rng_new = np.random.default_rng(seed)
+    assign, first = kmeans.assign_clusters(vectors, centroids, rng_new,
+                                           return_first=True)
+    np.testing.assert_array_equal(assign, kmeans.assign_clusters(vectors, centroids, rng_ref))
+    np.testing.assert_array_equal(first, assign_clusters_rowwise(vectors, centroids))
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
+@settings(max_examples=40, deadline=None)
+@given(float_instances(), st.integers(0, 2**32 - 1))
+def test_assign_clusters_draws_nothing_without_multiple_ties(instance, seed):
+    vectors, centroids = instance
+    centroids = centroids + np.arange(len(centroids))[:, None]  # all distinct
+    rng = np.random.default_rng(seed)
+    state = rng.bit_generator.state
+    assign, first = kmeans.assign_clusters(vectors, centroids, rng,
+                                           return_first=True)
+    assert rng.bit_generator.state == state
+    assert assign is first
+    np.testing.assert_array_equal(assign, kmeans.assign_clusters(vectors, centroids))
+
+
 def test_participants_defaults_and_clipping():
     parts = kmeans.Participants([[1.0 + 1e-13, -0.5], [0.2, -1.0 - 1e-13]])
     assert len(parts) == 2
