@@ -6,7 +6,7 @@ expectation-sign baseline, and bounded-fraction adversary experiments."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,11 +15,12 @@ from . import linalg, statevec
 @dataclass(frozen=True)
 class EnsembleSpec:
     """Row j of `normals` is the normal w_j of classifier j, whose operator
-    is the reflection R_j = 2 w_hat_j w_hat_j^T - I; `weights` holds b_j."""
+    is the reflection R_j = 2 w_hat_j w_hat_j^T - I; `weights` holds b_j.
+    Both are checked here; the gap of C = sum_j b_j R_j is read from C's
+    eigendecomposition, which train_bootstrap_ensemble returns."""
 
     normals: np.ndarray  # (n, m), every row nonzero
     weights: np.ndarray  # (n,)
-    gap_gamma: float = 0.0  # claimed |eigenvalue| >= gamma/2 on the support
 
     def __post_init__(self):
         W = np.asarray(self.normals, dtype=np.float64)
@@ -78,8 +79,8 @@ def train_bootstrap_ensemble(
     A resample that comes out single-class is drawn again.
 
     Returns the spec, its operator C = ensemble_operator(spec) and C's
-    eigendecomposition, from which the spec's gap_gamma is read, so a
-    caller that classifies with C need not build or decompose it again.
+    eigendecomposition, so a caller that classifies with C, or reads its
+    gap 2 min |lambda|, need not build or decompose it again.
 
     Resamples are drawn as rows of (rows, n) `integers` calls, never more
     rows than two-class resamples are still missing; the generator's
@@ -117,8 +118,12 @@ def train_bootstrap_ensemble(
         # lift by one affine coordinate so the midpoint offset is part of w
         rows = slice(done, done + len(idx))
         normals[rows, :-1] = w
-        # one dot product per row, as w @ (mu_plus + mu_minus) takes it
-        mid = (w[:, None, :] @ (mu_plus + mu_minus)[:, :, None])[:, 0, 0]
+        # one dot product per row, as w @ (mu_plus + mu_minus) takes it; each
+        # row of the sum starts 16-byte aligned, as a new array does, since
+        # OpenBLAS's Prescott kernel rounds by the second operand's alignment
+        mu_sum = np.empty((len(idx), dim + dim % 2))[:, :dim]
+        np.add(mu_plus, mu_minus, out=mu_sum)
+        mid = (w[:, None, :] @ mu_sum[:, :, None])[:, 0, 0]
         normals[rows, -1] = -mid / 2.0
         done += len(idx)
     weights = np.full(count, 1.0 / count)
@@ -128,9 +133,7 @@ def train_bootstrap_ensemble(
         weights = np.array([0.5, 0.5])
     spec = EnsembleSpec(normals, weights)
     C = ensemble_operator(spec)
-    dec = linalg.eig_hermitian(C)
-    gap = float(2.0 * np.min(np.abs(dec.eigenvalues)))
-    return replace(spec, gap_gamma=gap), C, dec
+    return spec, C, linalg.eig_hermitian(C)
 
 
 @dataclass

@@ -56,33 +56,38 @@ class UnitDataset:
         return self.vectors.shape[0]
 
 
+def _embed_rows(vectors: np.ndarray, R: float) -> tuple[np.ndarray, np.ndarray]:
+    """The plain and dagger rows of embed, for a (count, dim) array or a
+    (..., count, dim) stack of them."""
+    *lead, Nv, N = vectors.shape
+    tag_dim = 2 * Nv + 1
+    rows = np.arange(Nv)
+    # vecdot takes each row's dot product as np.linalg.norm does for one row
+    norms = np.sqrt(np.vecdot(vectors, vectors))
+    direction = np.zeros((*lead, Nv, N))
+    direction[..., 0] = 1.0
+    weight = np.zeros((*lead, Nv))
+    if R != 0:
+        live = norms > 0
+        direction[live] = vectors[live] / norms[live][:, None]
+        weight = norms / R
+    rest = np.sqrt(np.maximum(0.0, 1.0 - weight * weight))
+    tag = np.zeros((*lead, Nv, tag_dim))
+    tag[..., 0] = weight
+    tag_dag = tag.copy()
+    tag[..., rows, 1 + rows] = rest
+    tag_dag[..., rows, 1 + Nv + rows] = rest
+    return tuple((direction[..., :, None] * t[..., None, :]).reshape(*lead, Nv, N * tag_dim)
+                 for t in (tag, tag_dag))
+
+
 def embed(raw: RawDataset) -> UnitDataset:
     """Row j of `vectors` is direction_j (x) tag_j, with direction_j =
     x_j / ||x_j|| (e_0 where x_j = 0 or R = 0, whose weight is then 0) and
     tag_j = (||x_j|| / R) e_0 + sqrt(1 - (||x_j|| / R)^2) e_(1+j) (e_(1+j)
     alone when R = 0); `dagger_vectors` takes e_(1+N_v+j) in place of e_(1+j).
     """
-    N, Nv, R = raw.dim, raw.count, raw.norm_bound
-    tag_dim = 2 * Nv + 1
-    rows = np.arange(Nv)
-    # vecdot takes each row's dot product as np.linalg.norm does for one row
-    norms = np.sqrt(np.vecdot(raw.vectors, raw.vectors))
-    direction = np.zeros((Nv, N))
-    direction[:, 0] = 1.0
-    weight = np.zeros(Nv)
-    if R != 0:
-        live = norms > 0
-        direction[live] = raw.vectors[live] / norms[live, None]
-        weight = norms / R
-    rest = np.sqrt(np.maximum(0.0, 1.0 - weight * weight))
-    tag = np.zeros((Nv, tag_dim))
-    tag[:, 0] = weight
-    tag_dag = tag.copy()
-    tag[rows, 1 + rows] = rest
-    tag_dag[rows, 1 + Nv + rows] = rest
-    out, out_dag = ((direction[:, :, None] * t[:, None, :]).reshape(Nv, N * tag_dim)
-                    for t in (tag, tag_dag))
-    return UnitDataset(vectors=out, dagger_vectors=out_dag)
+    return UnitDataset(*_embed_rows(raw.vectors, raw.norm_bound))
 
 
 def _inner_products(data) -> np.ndarray:
@@ -128,9 +133,10 @@ def robust_pca_dim(count: int, dim: int) -> int:
     return dim if count >= 3 else dim * (2 * count + 1)
 
 
-def robust_pca_core(raw) -> tuple[np.ndarray, int]:
-    """robust_pca_matrix(embed(raw)) as its nonzero block plus the number of
-    dimensions left out, on which the full matrix is 0.
+def robust_pca_core(vectors: np.ndarray, norm_bound: float) -> tuple[np.ndarray, int]:
+    """robust_pca_matrix(embed(RawDataset(vectors, norm_bound))) as its
+    nonzero block plus the number of dimensions left out, on which the full
+    matrix is 0.
 
     An embedded tag column (f, t >= 1) is nonzero in at most one row, so with
     N_v >= 3 rows its median, and every median product taken with it, is 0.
@@ -139,24 +145,21 @@ def robust_pca_core(raw) -> tuple[np.ndarray, int]:
     R = 0 the embedding puts no weight on tag 0 and the block is 0.  Fewer
     than 3 vectors give the full matrix and no null dimension.
 
-    `raw` may also be a list of datasets with one count, dim and norm bound,
-    such as a dataset and its poisoned copies: their blocks come as one
-    (len(raw), side, side) stack from one robust_pca_matrix call.
+    `vectors` may also be a (..., count, dim) stack of datasets under the one
+    bound R, such as a dataset and its poisoned copies: their blocks come as
+    one (..., side, side) stack from one robust_pca_matrix call.  The
+    vectors are taken as checked, as RawDataset and poison leave them.
     """
-    stacked = not isinstance(raw, RawDataset)
-    raws = list(raw) if stacked else [raw]
-    count, dim, R = raws[0].count, raws[0].dim, raws[0].norm_bound
-    if any((r.count, r.dim, r.norm_bound) != (count, dim, R) for r in raws):
-        raise ValueError("stacked datasets must share count, dim and norm bound")
+    count, dim = vectors.shape[-2:]
     side = robust_pca_dim(count, dim)
     full = dim * (2 * count + 1)
     if side == full:
-        M = robust_pca_matrix(np.stack([embed(r).vectors for r in raws]))
-    elif R == 0:
-        M = np.zeros((len(raws), side, side))
+        M = robust_pca_matrix(_embed_rows(vectors, norm_bound)[0])
+    elif norm_bound == 0:
+        M = np.zeros(vectors.shape[:-2] + (side, side))
     else:
-        M = robust_pca_matrix(np.stack([r.vectors for r in raws]) / R)
-    return (M if stacked else M[0]), full - side
+        M = robust_pca_matrix(vectors / norm_bound)
+    return M, full - side
 
 
 def classical_pca_matrix(data) -> np.ndarray:
@@ -182,14 +185,20 @@ class ContaminationSpec:
             raise ValueError("alpha must lie in [0, 1)")
         if self.strategy not in ("replace-prefix", "spike-direction", "custom"):
             raise ValueError(f"unknown strategy {self.strategy!r}")
+        if self.spike_direction is not None:
+            u = np.asarray(self.spike_direction, dtype=np.float64)
+            if u.ndim != 1 or not np.all(np.isfinite(u)) or not np.any(u):
+                raise ValueError("spike_direction must be a finite nonzero 1-D vector")
 
 
-def poison(data: RawDataset, spec: ContaminationSpec) -> RawDataset:
-    """Replace floor(alpha * N_v) vectors according to the attack strategy."""
+def poison(data: RawDataset, spec: ContaminationSpec) -> np.ndarray:
+    """A copy of data.vectors with floor(alpha * N_v) rows replaced
+    according to the attack strategy.  Every replaced row has norm R up to
+    rounding, or within R (custom vectors, checked here)."""
     n_replace = int(math.floor(spec.alpha * data.count))
     vecs = data.vectors.copy()
     if n_replace == 0:
-        return RawDataset(vecs, data.norm_bound)
+        return vecs
     R = data.norm_bound
     if spec.strategy == "spike-direction":
         u = spec.spike_direction
@@ -197,22 +206,25 @@ def poison(data: RawDataset, spec: ContaminationSpec) -> RawDataset:
             u = np.zeros(data.dim)
             u[0] = 1.0
         u = np.asarray(u, dtype=np.float64)
+        if u.shape != (data.dim,):
+            raise ValueError("spike_direction length must equal the data dimension")
         u = u / np.linalg.norm(u)
-        replacement = np.tile(R * u, (n_replace, 1))
+        replacement = R * u
     elif spec.strategy == "custom":
         if spec.adversary_vectors is None:
             raise ValueError("custom strategy requires adversary_vectors")
         replacement = np.asarray(spec.adversary_vectors, dtype=np.float64)[:n_replace]
         if replacement.shape != (n_replace, data.dim):
             raise ValueError("adversary_vectors shape mismatch")
-        if np.any(np.linalg.norm(replacement, axis=1) > R + 1e-12):
+        # NaN fails the comparison, and so is rejected with the long vectors
+        if not np.all(np.linalg.norm(replacement, axis=1) <= R + 1e-12):
             raise ValueError("adversary vector exceeds the norm bound R")
     else:  # replace-prefix with rescaled random directions at norm R
         rng = np.random.default_rng(spec.seed)
         raw = rng.standard_normal((n_replace, data.dim))
         replacement = R * raw / np.linalg.norm(raw, axis=1, keepdims=True)
     vecs[:n_replace] = replacement
-    return RawDataset(vecs, data.norm_bound)
+    return vecs
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 """Truncated-Taylor simulation of e^{-iM} for sparse Hermitian M whose
 entries arrive through noisy probabilistic oracles: one-sparse decomposition
 by greedy edge coloring, sign discretization, segmented evolution, and
-recovery of the effective (average) Hamiltonian."""
+recovery of the effective (average) Hamiltonian.  M is a plain array,
+checked once by `linalg.check_hermitian` where it enters
+(`one_sparse_decompose`, `simulate_noisy`, `taylor_segment`)."""
 
 from __future__ import annotations
 
@@ -28,40 +30,12 @@ def row_sparsity(A: np.ndarray) -> int:
 BLOCK_BYTES = 128 * 1024
 
 
-@dataclass(frozen=True)
-class SparseHermitian:
-    """Dense storage of a d-sparse Hermitian matrix with its sparsity
-    metadata."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", linalg.check_hermitian(self.matrix))
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def sparsity(self) -> int:
-        """Max nonzeros in any row."""
-        return row_sparsity(self.matrix)
-
-    @property
-    def max_norm(self) -> float:
-        return float(np.max(np.abs(self.matrix)))
-
-
 @dataclass
 class OneSparseDecomposition:
     """Sum of one-sparse Hermitian terms reconstructing the source matrix;
     the diagonal term, when present, comes first."""
 
     terms: list  # list of (dim, dim) arrays, each one-sparse Hermitian
-
-    @property
-    def n_terms(self) -> int:
-        return len(self.terms)
 
     def reconstruct(self) -> np.ndarray:
         return np.sum(self.terms, axis=0)
@@ -92,16 +66,14 @@ def _layer_count(A: np.ndarray) -> int:
     return int(has_diag) + len(np.unique(colors))
 
 
-def one_sparse_decompose(H: SparseHermitian | np.ndarray) -> OneSparseDecomposition:
+def one_sparse_decompose(H) -> OneSparseDecomposition:
     """Split a sparse Hermitian matrix into one-sparse Hermitian layers.
 
     The diagonal gets a dedicated term; the off-diagonal support graph is
     edge-colored greedily (at most 2d-1 colors for max off-diagonal degree
     d), each color class being a matching and hence one-sparse.
     """
-    if not isinstance(H, SparseHermitian):
-        H = SparseHermitian(np.asarray(H))
-    A = H.matrix
+    A = linalg.check_hermitian(H)
     has_diag, ps, qs, colors = _greedy_edge_coloring(A)
     terms = []
     if has_diag:
@@ -181,9 +153,10 @@ class TaylorConfig:
             raise ValueError("delta must satisfy delta <= %g / m_disc" % DELTA_MDISC_CONSTANT)
 
 
-def segment_count(H: SparseHermitian, cfg: TaylorConfig, n_layers: int) -> int:
-    """Segments r that keep each segment's norm budget within ln 2."""
-    budget = abs(cfg.time) * H.max_norm * max(1, n_layers)
+def segment_count(max_norm: float, cfg: TaylorConfig, n_layers: int) -> int:
+    """Segments r that keep each segment's norm budget within ln 2, for a
+    matrix whose largest entry magnitude is max_norm."""
+    budget = abs(cfg.time) * max_norm * max(1, n_layers)
     return max(1, int(math.ceil(budget / math.log(2.0))))
 
 
@@ -258,7 +231,7 @@ class NoisySimulationReport:
 
 
 def simulate_noisy(
-    H: SparseHermitian | np.ndarray,
+    H,
     cfg: TaylorConfig,
     rng: np.random.Generator,
 ) -> NoisySimulationReport:
@@ -288,23 +261,22 @@ def simulate_noisy(
     summed into Q.  Memory is O(K block dim^2 + T r nnz) rather than
     O(T dim^2).
     """
-    if not isinstance(H, SparseHermitian):
-        H = SparseHermitian(np.asarray(H))
-    layers = _layer_count(H.matrix)
-    r = segment_count(H, cfg, layers)
+    H = linalg.check_hermitian(H)
+    layers = _layer_count(H)
+    max_norm = float(np.max(np.abs(H)))
+    r = segment_count(max_norm, cfg, layers)
     t_seg = cfg.time / r
-    max_norm = H.max_norm
     counter = QueryCounter()
-    dim = H.dim
+    dim = H.shape[0]
 
     # sparse entry bookkeeping: positions of upper-triangle + diagonal support
-    rows, cols = np.nonzero(np.abs(np.triu(H.matrix)) > SPARSITY_THRESHOLD)
+    rows, cols = np.nonzero(np.abs(np.triu(H)) > SPARSITY_THRESHOLD)
     if len(rows) == 0:
         # no stored entry: e^{-i 0 t} = I exactly, with no oracle read or draw
         return NoisySimulationReport(
             effective_channel=np.eye(dim, dtype=np.complex128),
             effective_hamiltonian=np.zeros((dim, dim), dtype=np.complex128),
-            deviation_spectral=linalg.norm(H.matrix, "spectral"),
+            deviation_spectral=linalg.norm(H, "spectral"),
             bound_scale=0.0,
             achieved_layers=0,
             order=cfg.order,
@@ -312,8 +284,8 @@ def simulate_noisy(
             unitarity_drift=0.0,
             queries=counter,
         )
-    base_vals = np.real(H.matrix[rows, cols])
-    if np.max(np.abs(np.imag(H.matrix[rows, cols]))) > 1e-12:
+    base_vals = np.real(H[rows, cols])
+    if np.max(np.abs(np.imag(H[rows, cols]))) > 1e-12:
         raise ValueError("noisy simulation path assumes real symmetric input")
 
     n_slots = len(rows)
@@ -389,9 +361,9 @@ def simulate_noisy(
     M_eff = extract_effective_hamiltonian(Q, cfg.time)
     # both differences are Hermitian: their spectral norms are the largest
     # |eigenvalue|
-    deviation = _hermitian_norm(H.matrix - M_eff)
+    deviation = _hermitian_norm(H - M_eff)
     drift = _hermitian_norm(Q.conj().T @ Q - np.eye(dim))
-    d = H.sparsity
+    d = row_sparsity(H)
     return NoisySimulationReport(
         effective_channel=Q,
         effective_hamiltonian=M_eff,

@@ -93,15 +93,12 @@ class MedianSearchConfig:
 class MedianSearchResult:
     value: float
     trace: list  # (midpoint, estimate) per iteration
-    intervals: list  # normalized (left, right) after each iteration
 
 
 class _Lockstep(NamedTuple):
     values: np.ndarray  # median estimates, (lanes,)
     mids: np.ndarray  # normalized midpoint of every step, (p_max, lanes)
     estimates: np.ndarray  # CDF readout of every step, (p_max, lanes)
-    intervals: list  # the first lane's integer (left, right) after every step
-    denom: int  # of the endpoints, which are integers
 
 
 def _lockstep_search(readout, lanes: int, cfg: MedianSearchConfig, domain: tuple) -> _Lockstep:
@@ -135,7 +132,6 @@ def _lockstep_search(readout, lanes: int, cfg: MedianSearchConfig, domain: tuple
     sid = np.zeros(lanes, dtype=np.intp)
     mids = np.empty((cfg.p_max, lanes))
     ests = np.empty((cfg.p_max, lanes))
-    intervals = []
     for step in range(cfg.p_max):
         centre = [(left + right) // 2 for left, right in states]
         mids[step] = np.array([c / denom for c in centre])[sid]  # int / int rounds correctly
@@ -158,10 +154,8 @@ def _lockstep_search(readout, lanes: int, cfg: MedianSearchConfig, domain: tuple
                 right = min(mid + step_w, denom)
             moved.append((left, right))
         states = moved
-        if lanes:
-            intervals.append(states[sid[0]])
     final = np.array([(left + right) // 2 / denom for left, right in states])[sid]
-    return _Lockstep(lo + final * (hi - lo), mids, ests, intervals, denom)
+    return _Lockstep(lo + final * (hi - lo), mids, ests)
 
 
 def binary_search_median(
@@ -190,7 +184,6 @@ def binary_search_median(
     return MedianSearchResult(
         value=float(run.values[0]),
         trace=list(zip(run.mids[:, 0].tolist(), run.estimates[:, 0].tolist())),
-        intervals=[(left / run.denom, right / run.denom) for left, right in run.intervals],
     )
 
 

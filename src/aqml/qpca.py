@@ -109,7 +109,7 @@ def build_matrix(
     """
     if mode == "exact-median":
         if isinstance(data, embedding.RawDataset):
-            return embedding.robust_pca_core(data)[0]
+            return embedding.robust_pca_core(data.vectors, data.norm_bound)[0]
         return embedding.robust_pca_matrix(data)
     if mode != "quantum-median":
         raise ValueError(f"unknown build mode {mode!r}")
@@ -166,7 +166,9 @@ def qpca_spectrum(
     spectrum as eigenvalue 0 with overlap 0.  Only the lcu-noisy mode reads
     rng, because its simulated evolution is itself random.
     """
-    M = linalg.check_hermitian(M)
+    # the decomposition checks M; the scale reads the entries as given
+    dec = linalg.eig_hermitian(M)
+    M = np.asarray(M)
     x = np.asarray(x, dtype=np.complex128)
     if abs(np.linalg.norm(x) - 1.0) > 1e-9:
         raise ValueError("input state must be unit norm")
@@ -177,7 +179,6 @@ def qpca_spectrum(
     max_norm = float(np.max(np.abs(M)))
     d_eff = max(1, lcu.row_sparsity(M))
     scale = 1.0 if max_norm == 0 else 1.0 / (2.0 * max_norm * d_eff)
-    dec = linalg.eig_hermitian(M)
     if np.max(np.abs(scale * dec.eigenvalues)) >= math.pi:
         raise ValueError("rescaled matrix norm still >= pi; eigenphases would wrap")
     exact_vals = np.concatenate([dec.eigenvalues, np.zeros(null_dim)])
@@ -193,7 +194,7 @@ def qpca_spectrum(
         if rng is None:
             raise ValueError("lcu-noisy mode needs an rng")
         cfg = lcu_cfg if lcu_cfg is not None else lcu.TaylorConfig()
-        rep = lcu.simulate_noisy(lcu.SparseHermitian(M * scale), cfg, rng)
+        rep = lcu.simulate_noisy(M * scale, cfg, rng)
         counter.merge(rep.queries)
         # the channel's polar unitary is e^{-i H_eff t} for the extracted
         # generator, with the same eigenvectors
@@ -277,7 +278,8 @@ def poisoning_sweep(
     L: float,
 ) -> tuple[tuple[np.ndarray, int], list]:
     """One poisoning_experiment report per contamination spec, and the clean
-    median core with its null dimension (embedding.robust_pca_core(data)).
+    median core with its null dimension (embedding.robust_pca_core of the
+    data).
 
     The clean core and every spec's poisoned core come from one
     robust_pca_core call, the mean baseline matrices are built once each,
@@ -289,8 +291,8 @@ def poisoning_sweep(
             raise ValueError("contamination fraction must satisfy 0 <= alpha < 1/2")
         if spec.alpha * L > 1.0:
             raise ValueError("alpha * L must be <= 1 for the stability regime")
-    datasets = [data] + [embedding.poison(data, spec) for spec in specs]
-    cores, null_dim = embedding.robust_pca_core(datasets)
+    datasets = np.stack([data.vectors] + [embedding.poison(data, spec) for spec in specs])
+    cores, null_dim = embedding.robust_pca_core(datasets, data.norm_bound)
     # both matrices vanish on the same null dimensions, so d and the norm
     # of M - Mp are those of the embedded matrices
     M = cores[0]

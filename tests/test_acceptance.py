@@ -181,7 +181,7 @@ def test_criterion_05_one_sparse_machinery():
         A = random_sparse_symmetric(rng, 12, d)
         B = random_sparse_symmetric(rng, 12, d)
         diff = A - B
-        layers = lcu.one_sparse_decompose(diff).n_terms
+        layers = len(lcu.one_sparse_decompose(diff).terms)
         max_entry = float(np.abs(diff).max())
         spectral = linalg.norm(diff, "spectral")
         if spectral > layers * max_entry + 1e-12:

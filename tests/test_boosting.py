@@ -201,12 +201,11 @@ def test_bootstrap_training_basics():
     spec, C, dec = boosting.train_bootstrap_ensemble(X, y, count=8, rng=rng)
     assert spec.normals.shape == (8, 3)
     assert spec.weights.sum() == pytest.approx(1.0)
-    # the returned operator and decomposition are the spec's, and give its gap
+    # the returned operator and decomposition are the spec's
     assert np.array_equal(C, boosting.ensemble_operator(spec))
     own = linalg.eig_hermitian(C)
     assert np.array_equal(dec.eigenvalues, own.eigenvalues)
     assert np.array_equal(dec.eigenvectors, own.eigenvectors)
-    assert spec.gap_gamma == 2.0 * np.min(np.abs(dec.eigenvalues))
     excluded = []
     for row in spec.normals:
         idx = replay.integers(0, n, size=n)

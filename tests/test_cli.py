@@ -461,11 +461,12 @@ def test_reruns_are_byte_identical(tmp_path, capsys, sub, extra):
             assert read_artifact(str(out_a), name) == read_artifact(str(out_b), name)
 
 
-def _count_calls(monkeypatch, module, name, counts):
+def _count_calls(monkeypatch, module, name, counts, key=None):
     original = getattr(module, name)
+    key = key or name
 
     def counted(*args, **kwargs):
-        counts[name] = counts.get(name, 0) + 1
+        counts[key] = counts.get(key, 0) + 1
         return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
@@ -475,12 +476,17 @@ def _count_calls(monkeypatch, module, name, counts):
 def test_default_runs_build_and_decompose_each_operator_once(
     tmp_path, capsys, monkeypatch, sub
 ):
-    # per seed: C is built and decomposed once, in training (the gap), and
+    # per seed: C is built and decomposed once, in training, and the gap,
     # the run and every attack reuse both; each C' is built and decomposed
     # once.  qpca builds the clean core and every alpha's poisoned core in
     # one batched median call, and takes the poisoning norms from one SVD.
+    # Inputs are checked once: one RawDataset (qpca) or EnsembleSpec (boost)
+    # per seed, and one Hermitian check per decomposition.
     counts = {}
     _count_calls(monkeypatch, linalg, "eig_hermitian", counts)
+    _count_calls(monkeypatch, linalg, "check_hermitian", counts)
+    _count_calls(monkeypatch, embedding.RawDataset, "__post_init__", counts, "RawDataset")
+    _count_calls(monkeypatch, boosting.EnsembleSpec, "__post_init__", counts, "EnsembleSpec")
     _count_calls(monkeypatch, boosting, "_reflection_sum", counts)
     _count_calls(monkeypatch, embedding, "robust_pca_core", counts)
     _count_calls(monkeypatch, embedding, "robust_pca_matrix", counts)
@@ -491,14 +497,19 @@ def test_default_runs_build_and_decompose_each_operator_once(
     if sub == "boost":
         assert counts["_reflection_sum"] <= seeds * (1 + alphas)
         assert counts["eig_hermitian"] <= seeds * (1 + alphas)
+        assert counts["EnsembleSpec"] == seeds
         assert "robust_pca_core" not in counts
         assert "robust_pca_matrix" not in counts
+        assert "RawDataset" not in counts
     else:
         assert counts["robust_pca_core"] <= seeds
         assert counts["robust_pca_matrix"] <= seeds
         assert counts["svd"] <= seeds
         assert counts["eig_hermitian"] <= seeds
+        assert counts["RawDataset"] == seeds
+        assert counts["check_hermitian"] == counts["eig_hermitian"]
         assert "_reflection_sum" not in counts
+        assert "EnsembleSpec" not in counts
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -185,7 +185,7 @@ def test_classical_pca_matches_numpy_cov():
 def test_poison_alpha_zero():
     raw = embedding.RawDataset(stream(0, "emb", "p0").normal(size=(8, 3)) / 10, 1.0)
     out = embedding.poison(raw, embedding.ContaminationSpec(alpha=0.0))
-    assert np.array_equal(out.vectors, raw.vectors)
+    assert np.array_equal(out, raw.vectors)
 
 
 def test_poison_replace_prefix_count():
@@ -193,7 +193,7 @@ def test_poison_replace_prefix_count():
     out = embedding.poison(
         raw, embedding.ContaminationSpec(alpha=0.49, strategy="replace-prefix")
     )
-    changed = np.any(out.vectors != raw.vectors, axis=1)
+    changed = np.any(out != raw.vectors, axis=1)
     assert changed[: int(0.49 * 10)].all() and not changed[4:].any()
 
 
@@ -213,9 +213,9 @@ def test_poison_spike_mean_vs_median():
             alpha=alpha, strategy="spike-direction", spike_direction=np.array([1.0, 0])
         ),
     )
-    mean_shift = abs(out.vectors[:, 0].mean() - vecs[:, 0].mean())
+    mean_shift = abs(out[:, 0].mean() - vecs[:, 0].mean())
     median_shift = abs(
-        np.median(out.vectors[:, 0]) - np.median(vecs[:, 0])
+        np.median(out[:, 0]) - np.median(vecs[:, 0])
     )
     assert mean_shift >= 0.5 * alpha * R
     assert median_shift <= alpha * dist.lipschitz + 0.1
@@ -223,11 +223,55 @@ def test_poison_spike_mean_vs_median():
 
 def test_poison_rejects_oversized_adversary():
     raw = embedding.RawDataset(np.zeros((4, 2)), norm_bound=1.0)
-    spec = embedding.ContaminationSpec(
-        alpha=0.5, strategy="custom", adversary_vectors=np.array([[5.0, 0], [0, 5.0]])
-    )
-    with pytest.raises(ValueError):
-        embedding.poison(raw, spec)
+    # a NaN row is no shorter than R either
+    for adversary in ([[5.0, 0], [0, 5.0]], [[math.nan, 0], [0, 0.5]]):
+        spec = embedding.ContaminationSpec(
+            alpha=0.5, strategy="custom", adversary_vectors=np.array(adversary)
+        )
+        with pytest.raises(ValueError):
+            embedding.poison(raw, spec)
+
+
+@pytest.mark.parametrize("R", [1.0, 1e6, 1e10, 1e150])
+@pytest.mark.parametrize("strategy", ["replace-prefix", "spike-direction", "custom"])
+def test_poison_rows_stay_within_the_norm_bound(strategy, R):
+    # replaced rows sit at norm R up to rounding (custom ones within R), at
+    # any scale: no absolute slack decides whether a poisoned copy is valid
+    count, dim, seeds = 10, 5, 200
+    for seed in range(seeds):
+        rng = stream(seed, "emb", "poison-scale")
+        vecs = rng.uniform(-1, 1, (count, dim))
+        vecs *= 0.9 * R / np.max(np.linalg.norm(vecs, axis=1))
+        raw = embedding.RawDataset(vecs, norm_bound=R)
+        adversary = rng.standard_normal((count, dim))
+        adversary *= R / np.linalg.norm(adversary, axis=1, keepdims=True) / 2.0
+        spec = embedding.ContaminationSpec(
+            alpha=0.45, strategy=strategy, seed=seed,
+            spike_direction=rng.standard_normal(dim), adversary_vectors=adversary,
+        )
+        out = embedding.poison(raw, spec)
+        n_replace = int(math.floor(0.45 * count))
+        assert out.shape == (count, dim)
+        assert np.all(np.isfinite(out))
+        assert np.all(np.linalg.norm(out[:n_replace], axis=1) <= R * (1 + 4 * 2.0**-52))
+        assert np.array_equal(out[n_replace:], raw.vectors[n_replace:])
+
+
+@pytest.mark.parametrize("u", [
+    np.zeros(3),
+    np.array([1.0, math.nan, 0.0]),
+    np.array([math.inf, 0.0, 0.0]),
+    np.ones(1),  # would broadcast over every column, past the norm bound
+    np.ones(2),
+    np.ones(4),
+])
+def test_poison_rejects_a_bad_spike_direction(u):
+    # zero, non-finite or of the wrong length: rejected by the spec or by
+    # poison before any row is written
+    raw = embedding.RawDataset(np.full((4, 3), 0.1), norm_bound=1.0)
+    with pytest.raises(ValueError, match="spike_direction"):
+        embedding.poison(raw, embedding.ContaminationSpec(
+            alpha=0.5, strategy="spike-direction", spike_direction=u))
 
 
 def test_median_stability_alpha_zero():

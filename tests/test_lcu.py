@@ -38,13 +38,13 @@ def random_sparse_symmetric(rng, dim, d):
 
 def test_decompose_diagonal_single_term():
     dec = lcu.one_sparse_decompose(np.diag([0.3, -0.2, 0.5, 0.1]))
-    assert dec.n_terms == 1
+    assert len(dec.terms) == 1
     assert np.allclose(dec.terms[0], np.diag([0.3, -0.2, 0.5, 0.1]))
 
 
 def test_decompose_pauli_x_single_term():
     dec = lcu.one_sparse_decompose(X)
-    assert dec.n_terms == 1
+    assert len(dec.terms) == 1
     assert np.allclose(dec.terms[0], X)
 
 
@@ -53,7 +53,7 @@ def test_decompose_reconstruction_and_one_sparsity():
     for trial in range(20):
         A = random_sparse_symmetric(rng, 16, 3)
         dec = lcu.one_sparse_decompose(A)
-        assert dec.n_terms <= 6  # 2d layers suffice for d-sparse symmetric
+        assert len(dec.terms) <= 6  # 2d layers suffice for d-sparse symmetric
         assert np.abs(dec.reconstruct() - A).max() <= 1e-12
         for t in dec.terms:
             nz = np.abs(t) > 1e-12
@@ -254,7 +254,6 @@ def test_row_sparsity_matches_inline_count():
                      [1e-13, 0.0, 2.0]])
     for M, want in ((np.zeros((3, 3)), 0), (real, 3), (cplx, 2)):
         assert lcu.row_sparsity(M) == inline(M) == want
-        assert lcu.SparseHermitian(M).sparsity == want
 
 
 def test_config_order_cap():
@@ -289,7 +288,7 @@ def test_simulate_noisy_deviation_within_linear_bound():
                            n_trials=300, time=0.5)
     rep = lcu.simulate_noisy(A, cfg, rng)
     assert rep.bound_scale == pytest.approx(
-        lcu.SparseHermitian(A).sparsity * 0.01
+        lcu.row_sparsity(A) * 0.01
     )
     assert rep.deviation_spectral <= 4.0 * rep.bound_scale
 
@@ -374,13 +373,13 @@ def complex_loop_channel(A, cfg, rng):
     segment loop in complex arithmetic, with the layer count from the built
     decomposition, the same oracle draws, a complex series per segment and a
     complex running product started from the identity.  Returns (Q, r)."""
-    H = lcu.SparseHermitian(A)
-    r = lcu.segment_count(H, cfg, lcu.one_sparse_decompose(H).n_terms)
+    H = linalg.check_hermitian(A)
+    max_norm = float(np.max(np.abs(H)))
+    r = lcu.segment_count(max_norm, cfg, len(lcu.one_sparse_decompose(H).terms))
     t_seg = cfg.time / r
-    max_norm = H.max_norm
-    dim = H.dim
-    rows, cols = np.nonzero(np.abs(np.triu(H.matrix)) > lcu.SPARSITY_THRESHOLD)
-    base_vals = np.real(H.matrix[rows, cols])
+    dim = H.shape[0]
+    rows, cols = np.nonzero(np.abs(np.triu(H)) > lcu.SPARSITY_THRESHOLD)
+    base_vals = np.real(H[rows, cols])
     T = cfg.n_trials
     reads = lcu._noisy_entry_samples(base_vals, cfg, max_norm, rng, T * r).reshape(
         T, r, len(rows)
@@ -480,7 +479,7 @@ def test_layer_count_matches_decomposition(seed, dim, d, zero_diagonal):
     A = random_sparse_symmetric(np.random.default_rng(seed), dim, min(d, dim))
     if zero_diagonal:
         np.fill_diagonal(A, 0.0)
-    assert lcu._layer_count(A) == lcu.one_sparse_decompose(A).n_terms
+    assert lcu._layer_count(A) == len(lcu.one_sparse_decompose(A).terms)
 
 
 def polar_unitary(Q):

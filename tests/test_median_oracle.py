@@ -158,12 +158,15 @@ def test_matrix_element_random_entries():
 
 
 def _ref_search(cdf_oracle, cfg, domain, counter):
+    """The median estimate, the (midpoint, estimate) trace and the exact
+    normalized (left, right) interval after every step."""
     lo, hi = domain
     widen = Fraction(cfg.epsilon_prime + cfg.lipschitz * cfg.epsilon0).limit_denominator(
         2**60
     )
     left, right = Fraction(0), Fraction(1)
     trace = []
+    intervals = []
     for _ in range(cfg.p_max):
         mid = (left + right) / 2
         est = float(cdf_oracle(lo + float(mid) * (hi - lo)))
@@ -176,7 +179,8 @@ def _ref_search(cdf_oracle, cfg, domain, counter):
         else:
             right = mid + widen
         left, right = max(left, Fraction(0)), min(right, Fraction(1))
-    return lo + float((left + right) / 2) * (hi - lo), trace
+        intervals.append((left, right))
+    return lo + float((left + right) / 2) * (hi - lo), trace, intervals
 
 
 def _ref_quantum_median(values, cfg, rng, domain, counter):
@@ -312,8 +316,8 @@ def test_binary_search_median_matches_reference(values, cfg, seed):
     # same callable noisy oracle on both sides: trace and value agree
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     res = mo.binary_search_median(mo.noisy_cdf_oracle(values, cfg, rng), cfg)
-    want, trace = _ref_search(mo.noisy_cdf_oracle(values, cfg, ref_rng), cfg,
-                              (-1.0, 1.0), QueryCounter())
+    want, trace, _ = _ref_search(mo.noisy_cdf_oracle(values, cfg, ref_rng), cfg,
+                                 (-1.0, 1.0), QueryCounter())
     assert res.value == want
     assert res.trace == trace
     assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -326,23 +330,24 @@ def test_binary_search_median_matches_reference(values, cfg, seed):
        data=st.data())
 def test_interval_invariants_for_any_readouts(cfg, data):
     # whatever the oracle answers (readouts on the pinning threshold
-    # included), 0 <= left <= right <= 1 after every step, each step queries
-    # the midpoint of the interval before it, and value and trace match the
-    # reference
+    # included), value and trace match the reference, whose intervals keep
+    # 0 <= left <= right <= 1 after every step, and each step queries the
+    # midpoint of the interval before it
     edges = [0.0, 0.5, 1.0, 0.5 - cfg.epsilon0, 0.5 + cfg.epsilon0]
     answers = data.draw(st.lists(st.one_of(st.sampled_from(edges), st.floats(0.0, 1.0)),
                                  min_size=cfg.p_max, max_size=cfg.p_max))
     replies = iter(answers)
     res = mo.binary_search_median(lambda y: next(replies), cfg)
-    assert len(res.intervals) == len(res.trace) == cfg.p_max
+    replies = iter(answers)
+    value, trace, intervals = _ref_search(lambda y: next(replies), cfg, (-1.0, 1.0),
+                                          QueryCounter())
+    assert (res.value, res.trace) == (value, trace)
+    assert len(intervals) == len(res.trace) == cfg.p_max
     previous = (0.0, 1.0)
-    for (left, right), (mid, _) in zip(res.intervals, res.trace):
+    for (left, right), (mid, _) in zip(intervals, res.trace):
         assert 0.0 <= left <= right <= 1.0
         assert mid == pytest.approx((previous[0] + previous[1]) / 2.0, abs=1e-15)
         previous = (left, right)
-    replies = iter(answers)
-    assert (res.value, res.trace) == _ref_search(lambda y: next(replies), cfg, (-1.0, 1.0),
-                                                 QueryCounter())
 
 
 @settings(max_examples=100, deadline=None)
@@ -358,7 +363,10 @@ def test_noiseless_error_bound_every_step(cfg, n, a, width, point_mass):
     true_med = (float(np.median(values)) + 1.0) / 2.0
     widen = cfg.epsilon_prime + cfg.lipschitz * cfg.epsilon0
     res = mo.binary_search_median(mo.exact_cdf_oracle(values), cfg)
-    for p, (left, right) in enumerate(res.intervals, start=1):
+    value, trace, intervals = _ref_search(mo.exact_cdf_oracle(values), cfg, (-1.0, 1.0),
+                                          QueryCounter())
+    assert (res.value, res.trace) == (value, trace)
+    for p, (left, right) in enumerate(intervals, start=1):
         bound = 2.0 ** (-p - 1) + widen * (1.0 - 2.0**-p)
         assert left - 1e-12 <= true_med <= right + 1e-12
         assert abs((left + right) / 2.0 - true_med) <= bound + 1e-12
@@ -387,7 +395,14 @@ def test_lockstep_lanes_match_one_lane_runs(cfg, lanes, edge_share, domain, seed
         assert np.array_equal(run.estimates[:, i], one.estimates[:, 0], equal_nan=True)
         assert run.values[i] == one.values[0]
         if i == 0:
-            assert run.intervals == one.intervals
+            # lane 0 walks the reference's intervals: every step queries the
+            # midpoint of the interval the step before left
+            replies = iter(answers[:, 0].tolist())
+            value, _, intervals = _ref_search(lambda y: next(replies), cfg, domain,
+                                              QueryCounter())
+            starts = ([(Fraction(0), Fraction(1))] + intervals)[:cfg.p_max]
+            assert run.mids[:, 0].tolist() == [float((a + b) / 2) for a, b in starts]
+            assert run.values[0] == value
 
 
 @pytest.mark.parametrize("vectors, k", [
