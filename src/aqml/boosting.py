@@ -58,7 +58,7 @@ def classifier_operator(w: np.ndarray) -> np.ndarray:
 
 def ensemble_operator(spec: EnsembleSpec) -> np.ndarray:
     C = _reflection_sum(spec.normals, spec.weights)
-    if linalg.norm(C, "spectral") > 1.0 + 1e-10:
+    if linalg.norm(C) > 1.0 + 1e-10:
         raise AssertionError("convex combination of reflections exceeded unit norm")
     return C
 
@@ -275,7 +275,7 @@ def attack_ensemble(
         eigenvalues = linalg.eig_hermitian(C).eigenvalues
     flipped, used = _flip_set(spec.weights, attack.alpha, attack.target_indices)
     Cp = C - 2.0 * _reflection_sum(spec.normals[flipped], spec.weights[flipped])
-    norm_shift = linalg.norm(Cp - C, "spectral")
+    norm_shift = linalg.norm(Cp - C)
     if norm_shift > 2 * used + 1e-10:
         raise AssertionError("operator shift exceeded 2 alpha")
     dec = linalg.eig_hermitian(Cp)

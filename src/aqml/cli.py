@@ -229,7 +229,6 @@ def run_qpca(cfg: dict, seed: int, out_dir: str) -> int:
 
 def run_boost(cfg: dict, seed: int, out_dir: str) -> int:
     rows = []
-    status = 0
     for s in range(cfg["seeds"]):
         rng = stream(seed, "boost", str(s))
         n = cfg["n_points"]
@@ -249,14 +248,13 @@ def run_boost(cfg: dict, seed: int, out_dir: str) -> int:
         clean = boosting.classify_by_eigenspace(psi, dec, bits=cfg["bits"])
         mean = boosting.classify_by_mean(psi, C)
         for alpha in cfg["alphas"]:
+            # attack_ensemble asserts the 2 alpha bound on both shifts
             rep = boosting.attack_ensemble(
                 spec, boosting.AttackSpec(alpha=alpha), C, dec.eigenvalues
             )
             attacked = boosting.classify_by_eigenspace(
                 psi, rep.decomposition, bits=cfg["bits"]
             )
-            if rep.eig_shift_max > 2 * rep.alpha_used + 1e-10:
-                status = 1
             rows.append(
                 [s, alpha, gap, "eigenspace", clean.label,
                  clean.confidence, rep.norm_shift, rep.eig_shift_max]
@@ -275,7 +273,7 @@ def run_boost(cfg: dict, seed: int, out_dir: str) -> int:
          "norm_shift", "eig_shift_max"],
         rows,
     )
-    return status
+    return 0
 
 
 def _blobs(rng, centers: np.ndarray, sigma: float, n: int) -> np.ndarray:

@@ -3,11 +3,11 @@ cluster membership and centroid sums, phase-estimation readout with an
 explicit rotation budget, and the trace-norm distinguishability analysis
 of a single participant.
 
-Participants are one `Participants` value: an (N, d) coordinate array with
-entries in [-1, 1] plus an (N,) boolean participation mask.  The
-participating rows, `Participants.active`, are stored coordinate-major
-(Fortran order), so each coordinate is one contiguous column for the
-distance sums and the per-cluster reductions.
+Participants are one `Participants` value: the (n, d) array `active` of
+the participating users' vectors, with entries in [-1, 1].  Users who do
+not take part are not passed; N is `ProtocolConfig.n_participants`.  The
+rows are stored coordinate-major (Fortran order), so each coordinate is one
+contiguous column for the distance sums and the per-cluster reductions.
 
 The round kernels are array work only, and they sum in two fixed orders.
 The exact Lloyd reference (`classical_iteration`) adds each cluster's rows
@@ -50,37 +50,28 @@ class ProtocolConfig:
 
 @dataclass(frozen=True)
 class Participants:
-    """N participants: row j of `x` is participant j's vector, and
-    `participating[j]` says whether they take part (default: all do).
-    `active` holds the vectors of the participating rows, in row order; it
-    is a read-only Fortran-ordered copy, computed once."""
+    """The participating users: row j of `active` is participant j's
+    vector.  The rows are validated and clipped into one read-only
+    Fortran-ordered copy."""
 
-    x: np.ndarray
-    participating: np.ndarray | None = None
+    active: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=np.float64)
+        x = np.asarray(self.active, dtype=np.float64)
         if x.ndim != 2:
             raise ValueError("participant array must be 2-D (N, d)")
         if not np.all(np.isfinite(x)):
             raise ValueError("participant vectors must be finite")
         if x.size and np.max(np.abs(x)) > 1.0 + 1e-12:
             raise ValueError("participant coordinates must lie in [-1, 1]")
-        mask = (np.ones(len(x), dtype=bool) if self.participating is None
-                else np.asarray(self.participating, dtype=bool))
-        if mask.shape != (len(x),):
-            raise ValueError("participation mask must have shape (N,)")
-        x = np.clip(x, -1.0, 1.0)
-        # compress the (d, N) transpose and transpose back: one copy, and
-        # each coordinate of the participating rows is a contiguous column
-        active = x.T.compress(mask, axis=1).T
+        # clip the (d, N) transpose into a C-ordered copy and transpose
+        # back: each coordinate is a contiguous column
+        active = np.clip(x.T, -1.0, 1.0, order="C").T
         active.flags.writeable = False
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "participating", mask)
         object.__setattr__(self, "active", active)
 
     def __len__(self) -> int:
-        return len(self.x)
+        return len(self.active)
 
 
 @dataclass

@@ -147,8 +147,10 @@ class TaylorConfig:
             raise ValueError("order, m_disc and n_trials must be >= 1")
         if self.order > MAX_ORDER:
             raise ValueError("order must be <= %d" % MAX_ORDER)
-        if not (0.0 <= self.delta < 1.0 and self.eta >= 0.0):
+        if not (0.0 <= self.delta < 1.0 and 0.0 <= self.eta < math.inf):
             raise ValueError("invalid oracle noise parameters")
+        if self.time == 0.0 or not math.isfinite(self.time):
+            raise ValueError("time must be nonzero and finite")
         if self.delta > 0.0 and self.delta > DELTA_MDISC_CONSTANT / self.m_disc:
             raise ValueError("delta must satisfy delta <= %g / m_disc" % DELTA_MDISC_CONSTANT)
 
@@ -168,7 +170,7 @@ def taylor_segment(H, t: float, K: int):
     (||H|| t)^(K+1)/(K+1)! e^(||H|| t) applies to ||S - e^{-iHt}||.
     """
     H = linalg.check_hermitian(H)
-    hnorm = linalg.norm(H, "spectral")
+    hnorm = linalg.norm(H)
     if hnorm * abs(t) > math.log(2.0) + 1e-9:
         raise ValueError("segment too long: ||H|| |t| must be <= ln 2")
     dim = H.shape[0]
@@ -258,8 +260,8 @@ def simulate_noisy(
     does not depend on how the trials are grouped.  The trials then run in
     blocks of max(1, BLOCK_BYTES // (8 dim^2)); every block reuses one
     buffer of K//2 + 9 (block, dim, dim) stacks, and its Pr and Pi are
-    summed into Q.  Memory is O(K block dim^2 + T r nnz) rather than
-    O(T dim^2).
+    summed into Q.  Memory is O(K block dim^2 + T r nnz): no stack of T
+    (dim, dim) products is held.
     """
     H = linalg.check_hermitian(H)
     layers = _layer_count(H)
@@ -276,7 +278,7 @@ def simulate_noisy(
         return NoisySimulationReport(
             effective_channel=np.eye(dim, dtype=np.complex128),
             effective_hamiltonian=np.zeros((dim, dim), dtype=np.complex128),
-            deviation_spectral=linalg.norm(H, "spectral"),
+            deviation_spectral=linalg.norm(H),
             bound_scale=0.0,
             achieved_layers=0,
             order=cfg.order,

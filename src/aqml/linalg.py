@@ -1,5 +1,5 @@
 """Dense complex linear algebra: Hermitian operators, eigendecompositions,
-operator exponentials and the norms used by the perturbation bounds."""
+operator exponentials and the spectral norm used by the perturbation bounds."""
 
 from __future__ import annotations
 
@@ -75,17 +75,9 @@ def operator_exp(H, t: float) -> np.ndarray:
     return (V * np.exp(-1j * dec.eigenvalues * t)) @ V.conj().T
 
 
-def norm(A, kind: str = "spectral") -> float:
-    """Matrix norm: 'spectral' (largest singular value), 'trace'
-    (sum of singular values) or 'max-entry'."""
-    A = as_operator(A)
-    if kind == "spectral":
-        return float(np.linalg.svd(A, compute_uv=False).max())
-    if kind == "trace":
-        return float(np.linalg.norm(A, "nuc"))
-    if kind == "max-entry":
-        return float(np.max(np.abs(A)))
-    raise ValueError(f"unknown norm kind {kind!r}")
+def norm(A) -> float:
+    """Spectral norm (largest singular value)."""
+    return float(np.linalg.svd(as_operator(A), compute_uv=False).max())
 
 
 def trace_distance(rho, sigma) -> float:

@@ -70,17 +70,15 @@ class MedianSearchConfig:
     p_max: int | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.epsilon < 0.25:
-            raise ValueError("epsilon must lie in (0, 1/4)")
-        if not 0.0 <= self.epsilon_prime < self.epsilon / 4.0:
-            raise ValueError("epsilon_prime must lie in [0, epsilon/4)")
+        # the budget checks the range of epsilon and epsilon_prime
+        budget = iteration_budget(self.epsilon, self.epsilon_prime)
         if not 0.0 <= self.delta0 < 1.0:
             raise ValueError("delta0 must lie in [0, 1)")
         if self.lipschitz <= 0:
             raise ValueError("lipschitz must be positive")
         if self.p_max is None:
-            self.p_max = iteration_budget(self.epsilon, self.epsilon_prime)
-        elif self.p_max < iteration_budget(self.epsilon, self.epsilon_prime):
+            self.p_max = budget
+        elif self.p_max < budget:
             raise ValueError("p_max below the required iteration budget")
 
     @property

@@ -163,8 +163,9 @@ def qpca_spectrum(
 
     `null_dim` more dimensions, on which the sampled matrix is 0 and x has
     no weight (embedding.robust_pca_core's null dimension), join the
-    spectrum as eigenvalue 0 with overlap 0.  Only the lcu-noisy mode reads
-    rng, because its simulated evolution is itself random.
+    spectrum as one eigenvalue 0 with overlap 0: they fall in one bin, and
+    their overlaps add nothing to it.  Only the lcu-noisy mode reads rng,
+    because its simulated evolution is itself random.
     """
     # the decomposition checks M; the scale reads the entries as given
     dec = linalg.eig_hermitian(M)
@@ -181,9 +182,10 @@ def qpca_spectrum(
     scale = 1.0 if max_norm == 0 else 1.0 / (2.0 * max_norm * d_eff)
     if np.max(np.abs(scale * dec.eigenvalues)) >= math.pi:
         raise ValueError("rescaled matrix norm still >= pi; eigenphases would wrap")
-    exact_vals = np.concatenate([dec.eigenvalues, np.zeros(null_dim)])
+    null = np.zeros(min(null_dim, 1))
+    exact_vals = np.concatenate([dec.eigenvalues, null])
     core_overlaps = np.abs(dec.eigenvectors.conj().T @ x) ** 2
-    overlaps = np.concatenate([core_overlaps, np.zeros(null_dim)])
+    overlaps = np.concatenate([core_overlaps, null])
 
     # QPE of e^{-i M scale} reads the spectrum; the null dimensions carry no
     # weight and never show in the outcome distribution
@@ -319,8 +321,6 @@ def poisoning_sweep(
             "bound": bound,
             "ok": bool(norm <= bound + 1e-12),
             "d": d,
-            "alpha": spec.alpha,
-            "L": L,
             "mean_method_norm": mean_norm,
         })
     return (M, null_dim), reports
@@ -354,7 +354,7 @@ def projector_perturbation_check(
     CURVATURE_C sigma^2."""
     M = linalg.check_hermitian(M)
     Mp = linalg.check_hermitian(M_perturbed)
-    sigma = linalg.norm(Mp - M, "spectral")
+    sigma = linalg.norm(Mp - M)
     if split.lam <= 0:
         raise ValueError("split gap must be positive")
     lo = (

@@ -52,7 +52,7 @@ def _check_one_sparse(rng):
     dec = lcu.one_sparse_decompose(A)
     recon = float(np.max(np.abs(dec.reconstruct() - A)))
     norms_ok = all(
-        abs(linalg.norm(t, "spectral") - np.max(np.abs(t))) <= 1e-10 for t in dec.terms
+        abs(linalg.norm(t) - np.max(np.abs(t))) <= 1e-10 for t in dec.terms
     )
     return recon <= 1e-14 and norms_ok, (
         f"reconstruction error {recon:.1e}; one-sparse norm = max entry: {norms_ok}"
@@ -63,8 +63,8 @@ def _check_taylor(rng):
     A = rng.uniform(-0.2, 0.2, (8, 8))
     A = (A + A.T) / 2
     S, _ = lcu.taylor_segment(A, 1.0, 14)
-    err = linalg.norm(S - np.array(linalg.operator_exp(A, 1.0)), "spectral")
-    bound = max(lcu.taylor_remainder_bound(linalg.norm(A, "spectral"), 1.0, 14), 1e-12)
+    err = linalg.norm(S - np.array(linalg.operator_exp(A, 1.0)))
+    bound = max(lcu.taylor_remainder_bound(linalg.norm(A), 1.0, 14), 1e-12)
     return err <= bound, f"truncation error {err:.2e} vs bound {bound:.2e}"
 
 
@@ -103,7 +103,7 @@ def _check_weyl(rng):
     P = rng.standard_normal((8, 8))
     P = (P + P.T) / 2 * 0.1
     shift = float(np.max(np.abs(np.linalg.eigvalsh(A) - np.linalg.eigvalsh(A + P))))
-    return shift <= linalg.norm(P, "spectral") + 1e-12, (
+    return shift <= linalg.norm(P) + 1e-12, (
         f"max eigenvalue shift {shift:.4f} <= perturbation norm"
     )
 

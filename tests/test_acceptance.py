@@ -171,7 +171,7 @@ def test_criterion_05_one_sparse_machinery():
         A = random_sparse_symmetric(rng, 8, 3)
         terms = lcu.one_sparse_decompose(A).terms
         t = terms[int(rng.integers(0, len(terms)))]
-        if abs(linalg.norm(t, "spectral") - np.abs(t).max()) > 1e-12:
+        if abs(linalg.norm(t) - np.abs(t).max()) > 1e-12:
             norm_ok = False
 
     diff_ok = True
@@ -183,7 +183,7 @@ def test_criterion_05_one_sparse_machinery():
         diff = A - B
         layers = len(lcu.one_sparse_decompose(diff).terms)
         max_entry = float(np.abs(diff).max())
-        spectral = linalg.norm(diff, "spectral")
+        spectral = linalg.norm(diff)
         if spectral > layers * max_entry + 1e-12:
             diff_ok = False
         d_diff = int(np.max(np.sum(np.abs(diff) > 1e-12, axis=1)))
@@ -215,12 +215,12 @@ def test_criterion_06_noisy_lcu_grid():
                                            time=0.5)
                     rep = lcu.simulate_noisy(A, cfg, rng)
                     exact = linalg.operator_exp(A, 0.5)
-                    h = linalg.norm(A, "spectral")
+                    h = linalg.norm(A)
                     trunc = rep.segments * lcu.taylor_remainder_bound(
                         h, 0.5 / rep.segments, cfg.order
                     )
                     disc = dim**2 / cfg.m_disc * rep.segments
-                    err = linalg.norm(rep.effective_channel - exact, "spectral")
+                    err = linalg.norm(rep.effective_channel - exact)
                     if err > trunc + disc + 1e-10:
                         noiseless_ok = False
                     continue
@@ -327,7 +327,7 @@ def test_criterion_09_projector_perturbation():
         split = qpca.split_spectrum(M, plus_min=0.2, minus_max=-0.2)
         E = rng.normal(size=(6, 6))
         E = (E + E.T) / 2.0
-        E /= linalg.norm(E, "spectral")
+        E /= linalg.norm(E)
         sigma = float(rng.uniform(0.1, 1.0)) * split.lam / 10.0
         probes = rng.normal(size=(5, 6))
         out = qpca.projector_perturbation_check(M, M + sigma * E, split, probes)
@@ -340,7 +340,7 @@ def test_criterion_09_projector_perturbation():
     M = (A + A.T) / 2.0
     D = rng2.normal(size=(6, 6))
     Delta = (D + D.T) / 2.0
-    Delta /= linalg.norm(Delta, "spectral")
+    Delta /= linalg.norm(Delta)
     dec = linalg.eig_hermitian(M)
     sigmas = np.array([1e-1, 1e-2, 1e-3, 1e-4])
     residuals = []

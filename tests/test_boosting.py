@@ -152,7 +152,7 @@ def test_ensemble_norm_at_most_one():
         w = rng.random(n)
         spec = boosting.EnsembleSpec(normals, w / w.sum())
         C = boosting.ensemble_operator(spec)
-        assert linalg.norm(C, "spectral") <= 1.0 + 1e-10
+        assert linalg.norm(C) <= 1.0 + 1e-10
 
 
 def test_weights_validation():

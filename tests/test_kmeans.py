@@ -115,7 +115,7 @@ def test_run_round_two_clusters_accuracy():
     parts = make_blobs(rng, [[0.8, 0.8], [-0.8, -0.8]], 0.05, 2000)
     init = np.array([[0.5, 0.5], [-0.5, -0.5]])
     res = kmeans.run_round(parts, init, cfg, rng)
-    vecs = parts.x
+    vecs = parts.active
     exact, exact_probs, _ = kmeans.classical_iteration(vecs, init)
     assert np.max(np.abs(res.centroids - exact)) <= cfg.epsilon
     assert np.max(np.abs(res.probs - exact_probs)) <= cfg.epsilon
@@ -126,8 +126,7 @@ def test_run_round_two_clusters_accuracy():
 def test_run_round_zero_participation_aborts():
     rng = stream(0, "km", "idle")
     cfg = kmeans.ProtocolConfig(k=2, d=1, n_participants=100, epsilon=0.05)
-    parts = kmeans.Participants(np.full((100, 1), 0.5),
-                                participating=np.zeros(100, dtype=bool))
+    parts = kmeans.Participants(np.empty((0, 1)))
     init = np.array([[0.5], [-0.5]])
     res = kmeans.run_round(parts, init, cfg, rng)
     # every cluster reads as empty, and with no participant to reseed at,
@@ -207,7 +206,7 @@ def test_classical_reference_aligned_with_trajectory(masked):
     n = 2000
     parts = make_blobs(rng, [[0.6, 0.6], [-0.6, -0.6]], 0.05, n)
     if masked:
-        parts = kmeans.Participants(parts.x, rng.random(n) < 0.7)
+        parts = kmeans.Participants(parts.active[rng.random(n) < 0.7])
     cfg = kmeans.ProtocolConfig(k=2, d=2, n_participants=n, epsilon=0.05,
                                 rounds=3, convergence_tol=0.0)
     init = np.array([[0.3, 0.2], [-0.3, -0.2]])
@@ -292,16 +291,17 @@ def test_empty_cluster_reseeded_at_farthest_participant(d):
 @pytest.mark.parametrize("mask", [[True, False, True], None])
 def test_participants_active_is_computed_once(mask):
     x = np.array([[0.1, 0.2], [0.3, 0.4], [-0.5, 0.6]])
-    parts = kmeans.Participants(x, mask)
+    rows = x if mask is None else x[np.asarray(mask)]
+    parts = kmeans.Participants(rows)
     assert parts.active is parts.active
-    np.testing.assert_array_equal(parts.active, x[parts.participating])
+    np.testing.assert_array_equal(parts.active, rows)
     # coordinate-major: each coordinate is one contiguous column
     assert parts.active.flags.f_contiguous
-    assert not np.shares_memory(parts.active, parts.x)
+    assert not np.shares_memory(parts.active, rows)
     with pytest.raises(ValueError):
         parts.active[0, 0] = 0.0
-    # the read-only rows are a copy: x stays writable, and writing it
-    # leaves active as it was, whatever the mask
+    # the read-only rows are a copy: the input stays writable, and writing
+    # it leaves active as it was
     before = parts.active.copy()
-    parts.x[0, 0] = 0.9
+    rows[0, 0] = 0.9
     np.testing.assert_array_equal(parts.active, before)

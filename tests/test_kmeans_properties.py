@@ -141,40 +141,23 @@ def test_assign_clusters_draws_nothing_without_multiple_ties(instance, seed):
 def test_participants_defaults_and_clipping():
     parts = kmeans.Participants([[1.0 + 1e-13, -0.5], [0.2, -1.0 - 1e-13]])
     assert len(parts) == 2
-    assert parts.x.shape == (2, 2)
-    assert np.max(np.abs(parts.x)) == 1.0
-    np.testing.assert_array_equal(parts.participating, [True, True])
+    assert parts.active.shape == (2, 2)
+    assert np.max(np.abs(parts.active)) == 1.0
 
 
 @pytest.mark.parametrize(
-    "x, mask",
+    "x",
     [
-        (np.array([[np.nan, 0.0], [0.1, 0.2]]), None),
-        (np.array([[0.1, np.inf]]), None),
-        (np.array([[0.1, 0.2], [0.3, -1.5]]), None),
-        (np.zeros((3, 2)), np.ones(2, dtype=bool)),
-        (np.zeros((3, 2)), np.ones((3, 1), dtype=bool)),
-        (np.array([0.1, 0.2]), None),
+        np.array([[np.nan, 0.0], [0.1, 0.2]]),
+        np.array([[0.1, np.inf]]),
+        np.array([[0.1, 0.2], [0.3, -1.5]]),
+        np.array([0.1, 0.2]),
     ],
-    ids=["nan", "inf", "out-of-range", "short-mask", "2d-mask", "1d-x"],
+    ids=["nan", "inf", "out-of-range", "1d-x"],
 )
-def test_participants_rejects(x, mask):
+def test_participants_rejects(x):
     with pytest.raises(ValueError):
-        kmeans.Participants(x, mask)
-
-
-def test_run_round_mask_equals_dropping_rows():
-    rng = stream(0, "km", "mask")
-    x = np.clip(rng.normal(0.0, 0.4, (300, 2)), -1, 1)
-    mask = rng.random(300) < 0.7
-    cfg = kmeans.ProtocolConfig(k=2, d=2, n_participants=300, epsilon=0.05)
-    init = np.array([[0.3, 0.3], [-0.3, -0.3]])
-    masked = kmeans.run_round(kmeans.Participants(x, mask), init, cfg,
-                              stream(1, "km", "mask"))
-    dropped = kmeans.run_round(kmeans.Participants(x[mask]), init, cfg,
-                               stream(1, "km", "mask"))
-    np.testing.assert_array_equal(masked.centroids, dropped.centroids)
-    np.testing.assert_array_equal(masked.probs, dropped.probs)
+        kmeans.Participants(x)
 
 
 def classical_iteration_masked(vectors, centroids):
@@ -303,7 +286,7 @@ def run_round_masked(participants, centroids, cfg, rng):
 def test_run_round_matches_masked_sums(k, d, n, share, corner, seed):
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1.0, 1.0, (n, d))
-    parts = kmeans.Participants(x, rng.random(n) < share)
+    parts = kmeans.Participants(x[rng.random(n) < share])
     centroids = rng.uniform(-1.0, 1.0, (k, d))
     if corner:
         centroids[0] = 1.0  # a corner centroid may hold no participant

@@ -98,7 +98,7 @@ def test_one_sparse_norm_is_max_entry():
         A = random_sparse_symmetric(rng, 8, 2)
         for t in lcu.one_sparse_decompose(A).terms:
             assert abs(
-                linalg.norm(t, "spectral") - np.abs(t).max()
+                linalg.norm(t) - np.abs(t).max()
             ) <= 1e-12
 
 
@@ -209,7 +209,7 @@ def test_taylor_segment_remainder_bound():
     exact = linalg.operator_exp(Z, 0.5)
     bound = lcu.taylor_remainder_bound(1.0, 0.5, 10)
     assert bound == pytest.approx(0.5**11 / math.factorial(11) * math.e**0.5)
-    err = linalg.norm(S - exact, "spectral")
+    err = linalg.norm(S - exact)
     assert err <= max(bound, 1e-12)
 
 
@@ -217,7 +217,7 @@ def test_taylor_segment_order_one_closed_form():
     S, _ = lcu.taylor_segment(Z, 0.1, K=1)
     assert np.allclose(S, np.eye(2) - 0.1j * Z, atol=1e-14)
     exact = linalg.operator_exp(Z, 0.1)
-    err = linalg.norm(S - exact, "spectral")
+    err = linalg.norm(S - exact)
     assert err <= 0.1**2 / 2.0 * math.e**0.1
 
 
@@ -232,6 +232,17 @@ def test_config_delta_invariant():
         lcu.TaylorConfig(order=6, m_disc=10000, delta=0.05)
     with pytest.raises(ValueError):
         lcu.TaylorConfig(n_trials=0)
+
+
+@pytest.mark.parametrize("field", [
+    {"time": 0.0}, {"time": -0.0}, {"time": math.inf}, {"time": -math.inf},
+    {"time": math.nan}, {"eta": math.inf}, {"eta": math.nan},
+], ids=["time-0", "time-neg-0", "time-inf", "time-neg-inf", "time-nan",
+        "eta-inf", "eta-nan"])
+def test_config_rejects_zero_or_nonfinite_time_and_nonfinite_eta(field):
+    # rejected by the config, before simulate_noisy draws anything
+    with pytest.raises(ValueError):
+        lcu.TaylorConfig(**field)
 
 
 def test_config_accepts_only_worst_case_failures():
@@ -272,12 +283,12 @@ def test_simulate_noiseless_matches_exact():
                            n_trials=1, time=0.7)
     rep = lcu.simulate_noisy(A, cfg, rng)
     exact = linalg.operator_exp(A, 0.7)
-    h = linalg.norm(A, "spectral")
+    h = linalg.norm(A)
     trunc = rep.segments * lcu.taylor_remainder_bound(
         h, 0.7 / rep.segments, cfg.order
     )
     disc = A.shape[0] ** 2 / cfg.m_disc * rep.segments
-    err = linalg.norm(rep.effective_channel - exact, "spectral")
+    err = linalg.norm(rep.effective_channel - exact)
     assert err <= trunc + disc + 1e-10
 
 
@@ -333,7 +344,7 @@ def test_unitarity_drift_budget():
     cfg = lcu.TaylorConfig(order=6, m_disc=10000, eta=0.0, delta=0.0,
                            n_trials=50, time=0.5)
     rep = lcu.simulate_noisy(A, cfg, rng)
-    h = linalg.norm(A, "spectral")
+    h = linalg.norm(A)
     trunc = rep.segments * lcu.taylor_remainder_bound(
         h, 0.5 / rep.segments, cfg.order
     )
@@ -551,9 +562,9 @@ def test_extraction_norms_match_svd_norms():
                                n_trials=60, failure_mode="worst-case", time=0.5)
         rep = lcu.simulate_noisy(A, cfg, rng)
         Q = rep.effective_channel
-        drift = linalg.norm(Q.conj().T @ Q - np.eye(Q.shape[0]), "spectral")
+        drift = linalg.norm(Q.conj().T @ Q - np.eye(Q.shape[0]))
         assert abs(rep.unitarity_drift - drift) <= 1e-12
-        dev = linalg.norm(A - rep.effective_hamiltonian, "spectral")
+        dev = linalg.norm(A - rep.effective_hamiltonian)
         assert abs(rep.deviation_spectral - dev) <= 1e-13 * dev
     # distance to unitary: 0.85 U is 0.15 away and refused, 0.95 U is 0.05
     # away and kept

@@ -159,7 +159,7 @@ def test_projector_check_small_perturbation():
     E = rng.normal(size=(4, 4))
     E = (E + E.T) / 2
     sigma = split.lam / 100.0
-    Mp = M + sigma * E / linalg.norm(E, "spectral")
+    Mp = M + sigma * E / linalg.norm(E)
     probes = unit_rows(rng, 20, 4)
     out = qpca.projector_perturbation_check(M, Mp, split, probes)
     assert out["projector_ok"]
@@ -191,4 +191,4 @@ def test_weyl_bound_random_pairs():
         B = A + 0.1 * E
         ea = np.sort(np.linalg.eigvalsh(A))
         eb = np.sort(np.linalg.eigvalsh(B))
-        assert np.max(np.abs(ea - eb)) <= linalg.norm(B - A, "spectral") + 1e-12
+        assert np.max(np.abs(ea - eb)) <= linalg.norm(B - A) + 1e-12
