@@ -29,6 +29,11 @@ def row_sparsity(A: np.ndarray) -> int:
 # stay in cache and are reused by every segment of every block
 BLOCK_BYTES = 128 * 1024
 
+# simulate_noisy draws all T * r * nnz oracle reads before the first trial and
+# refuses a run that needs more: at the cap the reads and their quantized copy
+# are float64 arrays of 512 MiB each
+MAX_ORACLE_READS = 2**26
+
 
 @dataclass
 class OneSparseDecomposition:
@@ -159,6 +164,8 @@ def segment_count(max_norm: float, cfg: TaylorConfig, n_layers: int) -> int:
     """Segments r that keep each segment's norm budget within ln 2, for a
     matrix whose largest entry magnitude is max_norm."""
     budget = abs(cfg.time) * max_norm * max(1, n_layers)
+    if not math.isfinite(budget):
+        raise ValueError("segment budget time * max_norm * layers is not finite")
     return max(1, int(math.ceil(budget / math.log(2.0))))
 
 
@@ -210,7 +217,11 @@ def _noisy_entry_samples(
     """Draw `size` oracle readouts for each entry value: within eta except
     with probability delta, when the read returns -value."""
     vals = np.asarray(values, dtype=np.float64)
-    out = rng.uniform(-1.0, 1.0, (size, len(vals)))
+    # rng.uniform(-1.0, 1.0) computes -1 + 2u from the same draws; 2u is
+    # exact, so these are its values bit for bit
+    out = rng.random((size, len(vals)))
+    out *= 2.0
+    out -= 1.0
     out *= cfg.eta
     out += vals
     if cfg.delta > 0.0:
@@ -257,11 +268,20 @@ def simulate_noisy(
     C and S / A together, and S = A (S / A).
 
     All T * r * nnz oracle reads are drawn first, so the generator stream
-    does not depend on how the trials are grouped.  The trials then run in
-    blocks of max(1, BLOCK_BYTES // (8 dim^2)); every block reuses one
-    buffer of K//2 + 9 (block, dim, dim) stacks, and its Pr and Pi are
-    summed into Q.  Memory is O(K block dim^2 + T r nnz): no stack of T
-    (dim, dim) products is held.
+    does not depend on how the trials are grouped; a run needing more than
+    MAX_ORACLE_READS of them is refused before any draw.  The trials then
+    run in blocks of max(1, BLOCK_BYTES // (8 dim^2)); every block reuses
+    one buffer of K//2 + 9 (block, dim, dim) stacks.  A block's last
+    segment is not multiplied into Pr and Pi: it is added to Q directly,
+    Q_re += sum_t (C_t Pr_t + S_t Pi_t) and Q_im += sum_t (C_t Pi_t - S_t
+    Pr_t), each sum one 2-D GEMM of the horizontal stack [C_1 ... C_n]
+    (or [S_1 ... S_n]) times the vertical stack of the Pr_t (or Pi_t); at
+    r = 1, Q gets the block sums of C_0 and -S_0.  Memory is
+    O(K block dim^2 + T r nnz): no stack of T (dim, dim) products is held.
+
+    One SVD Q = W diag(sigma) V^dag gives the polar unitary W V^dag that
+    the effective Hamiltonian is extracted from, its distance max|sigma - 1|
+    to Q, and the unitarity drift ||Q^dag Q - I|| = max|sigma^2 - 1|.
     """
     H = linalg.check_hermitian(H)
     layers = _layer_count(H)
@@ -292,6 +312,11 @@ def simulate_noisy(
 
     n_slots = len(rows)
     T = cfg.n_trials
+    if T * r * n_slots > MAX_ORACLE_READS:
+        raise ValueError(
+            "%d trials x %d segments x %d entries exceed %d oracle reads"
+            % (T, r, n_slots, MAX_ORACLE_READS)
+        )
     # one oracle read per entry per segment per trial
     reads = _noisy_entry_samples(base_vals, cfg, max_norm, rng, T * r).reshape(
         T, r, n_slots
@@ -327,13 +352,19 @@ def simulate_noisy(
             P, CS = stacks[:n_powers], stacks[n_powers : n_powers + 2]
             A, S, *prod = stacks[n_powers + 2 :]
             P[0] = np.eye(dim)
-            # A's off-support entries stay 0
+            # A's off-support entries stay 0; its stored entries and their
+            # mirrors are written through flat positions, which index
+            # faster than the (trial, row, col) triples
             A.fill(0.0)
+            A_flat = A.reshape(-1)
+            trial_base = np.arange(n)[:, None] * (dim * dim)
+            upper = (trial_base + rows * dim + cols).ravel()
+            lower = (trial_base + cols * dim + rows).ravel()
         Pr, Pi, X, Y = prod
         for s in range(r):
-            vals = quant[start : start + n, s, :]
-            A[:, rows, cols] = vals
-            A[:, cols, rows] = vals
+            vals = quant[start : start + n, s, :].ravel()
+            A_flat[upper] = vals
+            A_flat[lower] = vals
             if n_powers > 1:
                 np.matmul(A, A, out=P[1])
             for j in range(2, n_powers):
@@ -342,10 +373,28 @@ def simulate_noisy(
                       out=CS.reshape(2, -1))
             C = CS[0]
             if s == 0:
-                np.copyto(Pr, C)
                 np.matmul(A, CS[1], out=Pi)
+                if r == 1:
+                    # the product is the one segment, C_0 - iS_0
+                    Q_re += C.sum(axis=0)
+                    Q_im += Pi.sum(axis=0)
+                else:
+                    np.copyto(Pr, C)
                 continue
             np.matmul(A, CS[1], out=S)
+            if s == r - 1:
+                # the last segment goes straight into Q: sum_t C_t Pr_t is
+                # the horizontal stack [C_1 ... C_n] times the vertical stack
+                # of the Pr_t, one 2-D GEMM.  C_t and S_t are symmetric
+                # (polynomials in A_t, up to the rounding of S = A (S / A)),
+                # so the transposed vertical stack is the horizontal one
+                Ch, Sh = C.reshape(-1, dim).T, S.reshape(-1, dim).T
+                Pr_v, Pi_v = Pr.reshape(-1, dim), Pi.reshape(-1, dim)
+                Q_re += Ch @ Pr_v
+                Q_re += Sh @ Pi_v
+                Q_im += Ch @ Pi_v
+                Q_im -= Sh @ Pr_v
+                break
             # (C - iS)(Pr + iPi) = (C Pr + S Pi) + i(C Pi - S Pr); CS[1] is
             # free once S is built
             Z = CS[1]
@@ -355,16 +404,14 @@ def simulate_noisy(
             Y -= np.matmul(S, Pr, out=Z)
             # the old Pr and Pi stacks become scratch
             Pr, Pi, X, Y = X, Y, Pr, Pi
-        Q_re += Pr.sum(axis=0)
-        Q_im += Pi.sum(axis=0)
     counter.charge("lcu_segment_queries", T * r * cfg.order)
     Q = Q_re / T + 1j * (Q_im / T)
 
-    M_eff = extract_effective_hamiltonian(Q, cfg.time)
-    # both differences are Hermitian: their spectral norms are the largest
-    # |eigenvalue|
-    deviation = _hermitian_norm(H - M_eff)
-    drift = _hermitian_norm(Q.conj().T @ Q - np.eye(dim))
+    w, sigma, vh = np.linalg.svd(Q)
+    M_eff = _generator_of_polar(w, sigma, vh, cfg.time)
+    # H - M_eff is Hermitian: its spectral norm is the largest |eigenvalue|
+    deviation = float(np.max(np.abs(np.linalg.eigvalsh(H - M_eff))))
+    drift = float(np.max(np.abs(sigma * sigma - 1.0)))
     d = row_sparsity(H)
     return NoisySimulationReport(
         effective_channel=Q,
@@ -377,11 +424,6 @@ def simulate_noisy(
         unitarity_drift=drift,
         queries=counter,
     )
-
-
-def _hermitian_norm(X: np.ndarray) -> float:
-    """Spectral norm of a Hermitian matrix, from `eigvalsh`."""
-    return float(np.max(np.abs(np.linalg.eigvalsh(X))))
 
 
 def extract_effective_hamiltonian(Q, t: float) -> np.ndarray:
@@ -398,9 +440,12 @@ def extract_effective_hamiltonian(Q, t: float) -> np.ndarray:
     if t == 0:
         raise ValueError("t must be nonzero")
     Q = linalg.as_operator(Q)
-    # Q = W diag(sigma) V^dag has polar part U = W V^dag, and
-    # ||Q - U|| = max |sigma - 1|, so one SVD serves both
-    w, sigma, vh = np.linalg.svd(Q)
+    return _generator_of_polar(*np.linalg.svd(Q), t)
+
+
+def _generator_of_polar(w, sigma, vh, t: float) -> np.ndarray:
+    """`extract_effective_hamiltonian` from the SVD Q = w diag(sigma) vh."""
+    # Q has polar part U = w vh, and ||Q - U|| = max |sigma - 1|
     U = w @ vh
     if np.max(np.abs(sigma - 1.0)) > 0.1:
         raise ValueError("operator is too far from unitary to extract a generator")

@@ -45,6 +45,8 @@ def iteration_budget(epsilon: float, epsilon_prime: float) -> int:
     if not 0.0 <= epsilon_prime < epsilon / 4.0:
         raise ValueError("epsilon_prime must lie in [0, epsilon/4)")
     value = (1.0 - 4.0 * epsilon) / (2.0 * (epsilon - 4.0 * epsilon_prime))
+    if value == math.inf:
+        raise ValueError("epsilon - 4 epsilon_prime too small: the budget overflows")
     if value <= 1.0:
         return 0
     return int(math.ceil(math.log2(value)))

@@ -245,6 +245,34 @@ def test_config_rejects_zero_or_nonfinite_time_and_nonfinite_eta(field):
         lcu.TaylorConfig(**field)
 
 
+def test_segment_count_rejects_a_nonfinite_budget():
+    # time * max_norm * layers overflows to inf: ValueError, not OverflowError
+    with pytest.raises(ValueError):
+        lcu.segment_count(1.0, lcu.TaylorConfig(time=1e308), 3)
+    assert lcu.segment_count(1.0, lcu.TaylorConfig(time=1e9), 3) == 4328085123
+
+
+def test_simulate_noisy_refuses_too_many_oracle_reads(monkeypatch):
+    # time 1e9 asks for 4 328 085 123 segments: refused before any draw
+    A = random_sparse_symmetric(np.random.default_rng(0), 4, 2)
+    nnz = int(np.sum(np.abs(np.triu(A)) > lcu.SPARSITY_THRESHOLD))
+    rng = stream(0, "lcu", "cap")
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError):
+        lcu.simulate_noisy(A, lcu.TaylorConfig(time=1e9, n_trials=1), rng)
+    assert rng.bit_generator.state == before
+    # the cap itself is allowed, one read more is not
+    cfg = lcu.TaylorConfig(order=4, m_disc=10**4, n_trials=3, time=0.5)
+    r = lcu.segment_count(float(np.max(np.abs(A))), cfg, lcu._layer_count(A))
+    monkeypatch.setattr(lcu, "MAX_ORACLE_READS", 3 * r * nnz)
+    lcu.simulate_noisy(A, cfg, rng)
+    monkeypatch.setattr(lcu, "MAX_ORACLE_READS", 3 * r * nnz - 1)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError):
+        lcu.simulate_noisy(A, cfg, rng)
+    assert rng.bit_generator.state == before
+
+
 def test_config_accepts_only_worst_case_failures():
     assert lcu.TaylorConfig().failure_mode == "worst-case"
     with pytest.raises(ValueError):
@@ -379,6 +407,24 @@ def test_query_accounting():
 NOISE_GRID = [0.0, 1e-3, 1e-2]  # the eta and delta values of criterion 6
 
 
+@pytest.mark.parametrize("delta", [0.0, 1e-2])
+def test_noisy_entry_samples_match_uniform_draws(delta):
+    # the reads written with rng.uniform(-1.0, 1.0, ...): the same values bit
+    # for bit, and the generator ends in the same state
+    vals = np.array([0.3, -0.7, 1.0, 0.0, -1.0, 0.999])
+    cfg = lcu.TaylorConfig(order=6, m_disc=10**4, eta=1e-2, delta=delta)
+    size = 2000
+    ref_rng = np.random.default_rng(7)
+    want = ref_rng.uniform(-1.0, 1.0, (size, len(vals))) * cfg.eta + vals
+    if delta > 0.0:
+        want = np.where(ref_rng.random((size, len(vals))) < delta, -vals, want)
+    want = np.clip(want, -1.0, 1.0)
+    rng = np.random.default_rng(7)
+    got = lcu._noisy_entry_samples(vals, cfg, 1.0, rng, size)
+    assert got.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 def complex_loop_channel(A, cfg, rng):
     """Reference for the real C - iS loop of simulate_noisy: the noisy
     segment loop in complex arithmetic, with the layer count from the built
@@ -439,6 +485,12 @@ def complex_loop_channel(A, cfg, rng):
          failure_mode="worst-case", time=0.5)  # blocks of 64 trials, 150 = 2*64 + 22
 @example(seed=2, dim=32, d=3, order=6, n_trials=40, eta=1e-3, delta=1e-2,
          failure_mode="worst-case", time=0.5)  # blocks of 16 trials, 40 = 2*16 + 8
+@example(seed=3, dim=16, d=1, order=6, n_trials=20, eta=1e-2, delta=0.0,
+         failure_mode="worst-case", time=0.5)  # r = 2: the last segment is also the first product
+@example(seed=2, dim=16, d=2, order=5, n_trials=70, eta=1e-3, delta=1e-3,
+         failure_mode="worst-case", time=0.5)  # r = 2 over blocks of 64 trials, 70 = 64 + 6
+@example(seed=6, dim=32, d=3, order=8, n_trials=17, eta=1e-2, delta=1e-3,
+         failure_mode="worst-case", time=0.5)  # r = 3, blocks of 16 trials, 17 = 16 + 1
 def test_simulate_noisy_matches_complex_loop(
     seed, dim, d, order, n_trials, eta, delta, failure_mode, time
 ):
@@ -553,8 +605,9 @@ def test_cayley_rejects_eigenvalue_minus_one():
 
 
 def test_extraction_norms_match_svd_norms():
-    # simulate_noisy reads its two spectral norms from eigvalsh of Hermitian
-    # differences; extraction reads ||Q - U|| from the singular values
+    # simulate_noisy reads the drift ||Q^dag Q - I|| as max |sigma^2 - 1| from
+    # its one SVD of Q and the deviation from eigvalsh of a Hermitian
+    # difference; extraction reads ||Q - U|| from the singular values
     for seed in range(4):
         rng = stream(seed, "lcu", "norms")
         A = random_sparse_symmetric(rng, 8 + 4 * seed, 2)

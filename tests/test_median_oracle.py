@@ -27,6 +27,17 @@ def test_iteration_budget_rejects_inadmissible():
         mo.iteration_budget(0.1, 0.05)
 
 
+def test_iteration_budget_rejects_an_overflowing_ratio():
+    # (1 - 4 eps) / (2 (eps - 4 eps')) overflows to inf: ValueError, from the
+    # function and from the config, not OverflowError
+    with pytest.raises(ValueError):
+        mo.iteration_budget(1e-320, 0.0)
+    with pytest.raises(ValueError):
+        mo.MedianSearchConfig(epsilon=1e-320, epsilon_prime=0.0)
+    # at the smallest normal epsilon, 2^-1022, the ratio is 2^1021
+    assert mo.iteration_budget(2.0**-1022, 0.0) == 1021
+
+
 def test_config_invariants():
     with pytest.raises(ValueError):
         mo.MedianSearchConfig(epsilon=0.3, epsilon_prime=0.01)
