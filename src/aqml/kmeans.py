@@ -184,17 +184,22 @@ def assign_clusters(
     so reruns with the same seed reproduce.  Without `rng` a tied row takes
     its first tied centroid.  With `return_first` the result is the pair
     (assignment, first-tie assignment); the two are one array when no row
-    is multiply tied."""
+    is multiply tied.  Raises ValueError, before any draw, when a row's
+    nearest distance is NaN (a NaN coordinate in the row or in a
+    centroid)."""
     d2 = _sq_distances(vectors, centroids)
-    ties = d2 <= np.min(d2, axis=0) + 1e-15
+    nearest = np.min(d2, axis=0)
+    if np.isnan(nearest).any():
+        raise ValueError("a row's distance to the centroids is NaN")
+    ties = d2 <= nearest + 1e-15
     # the first tied centroid: writes in descending p leave the lowest one
     # (a row tied to the last centroid alone keeps the initial k - 1)
     first = np.full(len(vectors), len(centroids) - 1, dtype=np.intp)
     for p in range(len(centroids) - 2, -1, -1):
         first[ties[p]] = p
     assign = first
-    # a row of finite vectors (all `Participants` rows) ties at least once,
-    # so more ties than rows means some row ties more than once
+    # every row ties at least once, with its nearest centroid, so more ties
+    # than rows means some row ties more than once
     if rng is not None and np.count_nonzero(ties) > len(vectors):
         assign = first.copy()
         # one draw per multiply-tied row, in row order

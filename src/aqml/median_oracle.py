@@ -22,10 +22,21 @@ moves share a state, and the integer arithmetic runs once per distinct
 state, not once per lane.  After each step the lanes are regrouped by
 state * 3 + move.  The first step has one state, step t at most 3^t, and
 never more than the lanes.
+
+The work is split by what it depends on.  Per set of search parameters
+(cached): the widening as a fraction and the pin band, the two floats
+between which a readout pins.  Per search: the readout jitter
+eps0 (2 noise - 1) of every step and lane, and the failed lanes of every
+step.  Per state and step: the integer arithmetic and the float midpoint
+and query point.  Per lane and step, on arrays: one gather of the
+midpoints and query points, the empirical CDF count, the jittered and
+clipped readout with its failures patched, two comparisons against the
+pin band, and the regrouping.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -101,6 +112,33 @@ class _Lockstep(NamedTuple):
     estimates: np.ndarray  # CDF readout of every step, (p_max, lanes)
 
 
+@functools.lru_cache(maxsize=64)
+def _search_constants(widening: float, epsilon0: float) -> tuple:
+    """(numerator, denominator, below, above) of every search with these
+    parameters: the widening eps' + L eps0 as a fraction with denominator at
+    most 2^60, and the pin band, the floats below <= above between which lie
+    exactly the readouts est with |est - 0.5| <= epsilon0, the subtraction
+    rounded as a float subtraction rounds it."""
+    widen = Fraction(widening).limit_denominator(2**60)  # rejects NaN and Inf
+
+    def pinned(x: float) -> bool:
+        return abs(x - 0.5) <= epsilon0
+
+    if not pinned(0.5):  # a negative epsilon0 pins no readout
+        return widen.numerator, widen.denominator, 0.5, math.nextafter(0.5, 0.0)
+    # the rounded x - 0.5 is monotone in x, so the pinned readouts form one
+    # interval around 0.5; walk each end of it from its rounded guess
+    ends = []
+    for side in (-1.0, 1.0):
+        end = 0.5 + side * epsilon0
+        while not pinned(end):
+            end = math.nextafter(end, 0.5)
+        while (out := math.nextafter(end, side * math.inf)) != end and pinned(out):
+            end = out
+        ends.append(end)
+    return widen.numerator, widen.denominator, ends[0], ends[1]
+
+
 def _lockstep_search(readout, lanes: int, cfg: MedianSearchConfig, domain: tuple) -> _Lockstep:
     """Run `lanes` binary-search medians together, one step at a time.
 
@@ -108,54 +146,60 @@ def _lockstep_search(readout, lanes: int, cfg: MedianSearchConfig, domain: tuple
     a float array of shape (lanes,).
 
     `states` is the table of distinct exact (left, right) endpoint pairs and
-    sid[i] is the entry of lane i.  Each step takes the midpoint of every
-    state, reads every lane out at its state's midpoint and gives the lane a
-    move: 0 pins both endpoints near the midpoint, 1 raises left, 2 lowers
-    right.  The next table holds one state per distinct key
-    sid * 3 + move, in increasing key order, and each lane takes the index
-    of its key, so every lane holds the endpoints its own one-lane search
-    would.  The integer arithmetic thus runs once per distinct state: lanes
-    with the same moves so far share one.
+    sid[i] is the entry of lane i.  Each step takes the midpoint and query
+    point of every state, gathers them to the lanes with one take, reads
+    every lane out and gives the lane a move from the pin band (below,
+    above): 0 lowers right (est > above, or NaN), 1 pins both endpoints
+    near the midpoint (below <= est <= above), 2 raises left (est < below),
+    that is (est < below) + (est <= above).  The next table holds one state
+    per distinct key sid * 3 + move, in increasing key order, and each lane
+    takes the index of its key, so every lane holds the endpoints its own
+    one-lane search would.  The integer arithmetic thus runs once per
+    distinct state: lanes with the same moves so far share one.
     """
     lo, hi = domain
     if not hi > lo:
         raise ValueError("empty search domain")
     # widening applied to the updated endpoint each iteration; keeps the
-    # true median inside the interval despite readout errors
-    widen = Fraction(cfg.epsilon_prime + cfg.lipschitz * cfg.epsilon0).limit_denominator(
-        2**60
-    )
+    # true median inside the interval despite readout errors.  A readout
+    # within eps0 of 1/2 certifies the midpoint as a near-median: in the
+    # success branch |F(mid) - 1/2| <= 2 eps0, so the median lies within
+    # L * 2 eps0 = eps' + L eps0 of mid.  Pinning the interval there keeps
+    # degenerate CDFs (flat at 1/2) from random-walking.
+    num, den, below, above = _search_constants(
+        cfg.epsilon_prime + cfg.lipschitz * cfg.epsilon0, cfg.epsilon0)
     # every endpoint and midpoint is an integer over this denominator
-    denom = widen.denominator << (cfg.p_max + 1)
-    step_w = widen.numerator << (cfg.p_max + 1)
+    denom = den << (cfg.p_max + 1)
+    step_w = num << (cfg.p_max + 1)
+    width = hi - lo
     states = [(0, denom)]
     sid = np.zeros(lanes, dtype=np.intp)
     mids = np.empty((cfg.p_max, lanes))
     ests = np.empty((cfg.p_max, lanes))
     for step in range(cfg.p_max):
         centre = [(left + right) // 2 for left, right in states]
-        mids[step] = np.array([c / denom for c in centre])[sid]  # int / int rounds correctly
-        est = ests[step] = readout(step, lo + mids[step] * (hi - lo))
-        # a readout within eps0 of 1/2 certifies the midpoint as a
-        # near-median: in the success branch |F(mid) - 1/2| <= 2 eps0, so
-        # the median lies within L * 2 eps0 = eps' + L eps0 of mid.  Pinning
-        # the interval there keeps degenerate CDFs (flat at 1/2) from
-        # random-walking.  Otherwise a readout below 1/2 raises left (move 1)
-        # and any other, NaN included, lowers right (move 2).
-        key = 3 * sid + (2 - (est < 0.5)) * ~(np.abs(est - 0.5) <= cfg.epsilon0)
-        taken = np.flatnonzero(np.bincount(key))  # the distinct keys, ascending
-        sid = np.searchsorted(taken, key)
+        at = [c / denom for c in centre]  # int / int rounds correctly
+        mid, y = np.array([at, [lo + m * width for m in at]]).take(sid, axis=1)
+        mids[step] = mid
+        est = ests[step] = readout(step, y)
+        key = 3 * sid + (est < below)
+        key += est <= above
+        counts = np.bincount(key)
+        taken = counts.nonzero()[0]  # the distinct keys, ascending
+        counts[taken] = np.arange(len(taken))
+        sid = counts.take(key)
         moved = []
         for k in taken.tolist():
-            (left, right), mid, how = states[k // 3], centre[k // 3], k % 3
-            if how != 2:
-                left = max(mid - step_w, 0)
-            if how != 1:
-                right = min(mid + step_w, denom)
+            s, how = divmod(k, 3)
+            (left, right), c = states[s], centre[s]
+            if how:
+                left = max(c - step_w, 0)
+            if how < 2:
+                right = min(c + step_w, denom)
             moved.append((left, right))
         states = moved
-    final = np.array([(left + right) // 2 / denom for left, right in states])[sid]
-    return _Lockstep(lo + final * (hi - lo), mids, ests)
+    final = np.array([lo + (left + right) // 2 / denom * width for left, right in states])
+    return _Lockstep(final.take(sid), mids, ests)
 
 
 def binary_search_median(
@@ -238,19 +282,35 @@ def _noisy_medians(
     domain: tuple,
     counter: QueryCounter,
 ) -> np.ndarray:
-    """Medians of the rows of `values` (lanes, n), searched together; the
+    """Medians of the columns of `values` (n, lanes), searched together; the
     readout of lane i at step t is the empirical CDF through the
-    amplitude-estimation contract with the drawn (failed, noise)[i, t]."""
+    amplitude-estimation contract with the drawn (failed, noise)[t, i]:
+    prob + eps0 (2 noise - 1) clipped to [0, 1], or, where failed, the end
+    point of [0, 1] farthest from prob.  The jitter eps0 (2 noise - 1) and
+    the failed lanes of every step are found once, before the first step."""
     statevec.check_ae_precision(cfg.epsilon0, cfg.delta0)
     failed, noise = draws
-    lanes, n = values.shape
+    n = len(values)
+    jitter = cfg.epsilon0 * (2.0 * np.ascontiguousarray(noise) - 1.0)
+    step_of, lane_of = failed.nonzero()  # ascending steps
+    # the failed lanes of step t are lane_of[first[t]:first[t + 1]]
+    first = step_of.searchsorted(np.arange(cfg.p_max + 1)).tolist()
+    below = np.empty(values.shape, dtype=bool)
+    count_type = np.min_scalar_type(n)  # holds every count, up to n
 
     def readout(step, y):
-        prob = np.count_nonzero(values < y[:, None], axis=1) / n
-        return statevec.ae_readout(prob, cfg.epsilon0, failed[:, step], noise[:, step])
+        np.less(values, y, out=below)
+        prob = np.add.reduce(below.view(np.uint8), axis=0, dtype=count_type) / n
+        est = prob + jitter[step]
+        np.maximum(0.0, est, out=est)
+        np.minimum(1.0, est, out=est)
+        if first[step] < first[step + 1]:
+            f = lane_of[first[step]:first[step + 1]]
+            est[f] = prob[f] <= 0.5
+        return est
 
-    medians = _lockstep_search(readout, lanes, cfg, domain).values
-    readouts = lanes * cfg.p_max
+    medians = _lockstep_search(readout, values.shape[1], cfg, domain).values
+    readouts = medians.size * cfg.p_max
     if readouts:
         # in the order one readout charges them
         ae_charge, data_charge = _readout_charges(cfg)
@@ -287,7 +347,7 @@ def quantum_median(
         raise ValueError("no values to take the median of")
     _check_unit_values(values)
     failed, noise = statevec.ae_draws(cfg.p_max, cfg.delta0, rng)
-    return float(_noisy_medians(values[None, :], cfg, (failed[None], noise[None]),
+    return float(_noisy_medians(values[:, None], cfg, (failed[:, None], noise[:, None]),
                                 (-1.0, 1.0), counter)[0])
 
 
@@ -353,15 +413,14 @@ def matrix_element_oracle(
     block = 2 * p_col + cfg_prod.p_max
     failed, noise = statevec.ae_draws(len(k) * block, delta0, rng)
     failed, noise = failed.reshape(len(k), block), noise.reshape(len(k), block)
-    # lanes [0, E) take the column-k readouts of the E = len(k) entries,
-    # lanes [E, 2E) their column-l readouts
-    col_draws = [np.concatenate(np.hsplit(a[:, :2 * p_col], 2)) for a in (failed, noise)]
+    # the draws step by step: lanes [0, E) take the column-k readouts of the
+    # E = len(k) entries, lanes [E, 2E) their column-l readouts
+    col_draws = [a[:, :2 * p_col].reshape(-1, 2, p_col).T.reshape(p_col, -1)
+                 for a in (failed, noise)]
 
-    cols = ips.T
-    med_k, med_l = np.split(
-        _noisy_medians(cols[np.concatenate([k, l])], cfg_col, col_draws, (-1.0, 1.0), counter),
-        2)
-    prods = (cols[k] - med_k[:, None]) * (cols[l] - med_l[:, None])
+    cols = ips.take(np.concatenate([k, l]), axis=1)
+    med = _noisy_medians(cols, cfg_col, col_draws, (-1.0, 1.0), counter)
+    prods = (cols[:, :len(k)] - med[:len(k)]) * (cols[:, len(k):] - med[len(k):])
     # products of two deviations bounded by 2 each lie in [-4, 4]
-    return _noisy_medians(prods, cfg_prod, (failed[:, 2 * p_col:], noise[:, 2 * p_col:]),
+    return _noisy_medians(prods, cfg_prod, (failed[:, 2 * p_col:].T, noise[:, 2 * p_col:].T),
                           (-4.0, 4.0), counter).reshape(shape)[()]

@@ -146,15 +146,6 @@ def ae_draws(count: int, delta0: float, rng: np.random.Generator) -> tuple:
     return failed, noise
 
 
-def ae_readout(success_prob: np.ndarray, epsilon0: float, failed: np.ndarray,
-               noise: np.ndarray) -> np.ndarray:
-    """amplitude_estimate on arrays, with its randomness drawn beforehand
-    by ae_draws: success_prob + epsilon0 (2 noise - 1) clipped to [0, 1],
-    or, where failed, the end point of [0, 1] farthest from success_prob."""
-    value = np.minimum(1.0, np.maximum(0.0, success_prob + epsilon0 * (2.0 * noise - 1.0)))
-    return np.where(failed, np.where(success_prob > 0.5, 0.0, 1.0), value)
-
-
 # eigenvalues transformed per FFT batch, so a batch holds at most this many
 # complex entries or one row of 2^bits
 _QPE_BATCH_ENTRIES = 2**16

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aqml import boosting, linalg
@@ -232,9 +232,11 @@ def bootstrap_loop(X, y, count, rng):
             ys = y[idx]
             if len(np.unique(ys)) == 2:
                 break
-        Xs = X[idx]
-        mu_plus = Xs[ys == np.max(ys)].mean(axis=0)
-        mu_minus = Xs[ys == np.min(ys)].mean(axis=0)
+        Xs, plus = X[idx], ys == np.max(ys)
+        # each class's rows added one after another, in order, as the program
+        # adds them; a mean over one column would add them pairwise
+        mu_plus = np.add.accumulate(Xs[plus])[-1] / np.count_nonzero(plus)
+        mu_minus = np.add.accumulate(Xs[~plus])[-1] / np.count_nonzero(~plus)
         w = mu_plus - mu_minus
         normals[i, :-1] = w
         normals[i, -1] = -float(w @ (mu_plus + mu_minus)) / 2.0
@@ -250,6 +252,9 @@ def bootstrap_loop(X, y, count, rng):
     batch_values=st.sampled_from([1, 50, 2**20]),
     seed=st.integers(0, 2**32 - 1),
 )
+# one column whose class means nearly cancel: w = -5.2e-4 against rows up to
+# 72.9, where a pairwise sum of a class's rows misses by 5e-12 relative to w
+@example(n=15, dim=1, count=22, labels=(-1, 1), batch_values=1, seed=56)
 def test_batched_bootstrap_matches_per_resample_draws(
     n, dim, count, labels, batch_values, seed
 ):
@@ -264,12 +269,7 @@ def test_batched_bootstrap_matches_per_resample_draws(
         m.setattr(boosting, "_BOOTSTRAP_BATCH_VALUES", batch_values)
         spec = boosting.train_bootstrap_ensemble(X, y, count, rng)[0]
     assert rng.bit_generator.state == ref_rng.bit_generator.state
-    if dim > 1:
-        # the per-resample mean of a (rows, dim) block adds rows in order
-        assert np.array_equal(spec.normals, want)
-    else:
-        # numpy sums a single column pairwise, so the last digits may differ
-        np.testing.assert_allclose(spec.normals, want, rtol=1e-12, atol=1e-300)
+    assert np.array_equal(spec.normals, want)
 
 
 def test_attack_reuses_the_callers_operator_and_eigenvalues():

@@ -3,6 +3,7 @@ nearest-centroid assignment against the row-by-row reference, the Lloyd
 step and the protocol round against per-cluster mask references, and the
 `Participants` validation."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -109,6 +110,24 @@ def test_assign_clusters_draws_once_per_tied_row():
     ref.integers(0, 2)
     ref.integers(0, 2)
     assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("vectors, centroids", [
+    # a NaN row next to a row tied between both centroids
+    (np.array([[math.nan, 0.0], [0.0, 0.0]]), np.array([[1.0, 0.0], [-1.0, 0.0]])),
+    (np.array([[0.5, math.nan]]), np.array([[1.0, 0.0], [-1.0, 0.0]])),
+    # a NaN centroid, and an infinite row against an infinite centroid
+    (np.array([[0.5, 0.0]]), np.array([[math.nan, 0.0], [-1.0, 0.0]])),
+    (np.array([[math.inf, 0.0]]), np.array([[math.inf, 0.0], [-1.0, 0.0]])),
+])
+def test_assign_clusters_rejects_a_nan_distance(vectors, centroids):
+    rng = stream(3, "km", "nan")
+    state = rng.bit_generator.state
+    for draws in (rng, None):
+        # inf - inf is the NaN of the last case
+        with pytest.raises(ValueError, match="NaN"), np.errstate(invalid="ignore"):
+            kmeans.assign_clusters(vectors, centroids, draws, return_first=True)
+    assert rng.bit_generator.state == state
 
 
 @settings(max_examples=200, deadline=None)

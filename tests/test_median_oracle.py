@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from aqml import embedding, median_oracle as mo, qpca, statevec
 from aqml.util import QueryCounter, stream
@@ -414,6 +415,138 @@ def test_lockstep_lanes_match_one_lane_runs(cfg, lanes, edge_share, domain, seed
             starts = ([(Fraction(0), Fraction(1))] + intervals)[:cfg.p_max]
             assert run.mids[:, 0].tolist() == [float((a + b) / 2) for a, b in starts]
             assert run.values[0] == value
+
+
+# --- reference: the lockstep step with every readout classified by
+# arithmetic and the lanes regrouped by searchsorted, as it was before the
+# pin band and the per-state gathers ------------------------------------------
+
+
+def _ref_lockstep_search(readout, lanes, cfg, domain):
+    """Run `lanes` binary-search medians together, one step at a time.
+
+    readout(step, y) returns the CDF estimates at the lanes' query points y,
+    a float array of shape (lanes,).
+
+    `states` is the table of distinct exact (left, right) endpoint pairs and
+    sid[i] is the entry of lane i.  Each step takes the midpoint of every
+    state, reads every lane out at its state's midpoint and gives the lane a
+    move: 0 pins both endpoints near the midpoint, 1 raises left, 2 lowers
+    right.  The next table holds one state per distinct key
+    sid * 3 + move, in increasing key order, and each lane takes the index
+    of its key, so every lane holds the endpoints its own one-lane search
+    would.  The integer arithmetic thus runs once per distinct state: lanes
+    with the same moves so far share one.
+    """
+    lo, hi = domain
+    if not hi > lo:
+        raise ValueError("empty search domain")
+    # widening applied to the updated endpoint each iteration; keeps the
+    # true median inside the interval despite readout errors
+    widen = Fraction(cfg.epsilon_prime + cfg.lipschitz * cfg.epsilon0).limit_denominator(
+        2**60
+    )
+    # every endpoint and midpoint is an integer over this denominator
+    denom = widen.denominator << (cfg.p_max + 1)
+    step_w = widen.numerator << (cfg.p_max + 1)
+    states = [(0, denom)]
+    sid = np.zeros(lanes, dtype=np.intp)
+    mids = np.empty((cfg.p_max, lanes))
+    ests = np.empty((cfg.p_max, lanes))
+    for step in range(cfg.p_max):
+        centre = [(left + right) // 2 for left, right in states]
+        mids[step] = np.array([c / denom for c in centre])[sid]  # int / int rounds correctly
+        est = ests[step] = readout(step, lo + mids[step] * (hi - lo))
+        # a readout within eps0 of 1/2 certifies the midpoint as a
+        # near-median: in the success branch |F(mid) - 1/2| <= 2 eps0, so
+        # the median lies within L * 2 eps0 = eps' + L eps0 of mid.  Pinning
+        # the interval there keeps degenerate CDFs (flat at 1/2) from
+        # random-walking.  Otherwise a readout below 1/2 raises left (move 1)
+        # and any other, NaN included, lowers right (move 2).
+        key = 3 * sid + (2 - (est < 0.5)) * ~(np.abs(est - 0.5) <= cfg.epsilon0)
+        taken = np.flatnonzero(np.bincount(key))  # the distinct keys, ascending
+        sid = np.searchsorted(taken, key)
+        moved = []
+        for k in taken.tolist():
+            (left, right), mid, how = states[k // 3], centre[k // 3], k % 3
+            if how != 2:
+                left = max(mid - step_w, 0)
+            if how != 1:
+                right = min(mid + step_w, denom)
+            moved.append((left, right))
+        states = moved
+    final = np.array([(left + right) // 2 / denom for left, right in states])[sid]
+    return mo._Lockstep(lo + final * (hi - lo), mids, ests)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def _lockstep_configs(draw):
+    # eps0 = eps' / L is unbounded above: L near the smallest subnormal makes
+    # it overflow, and the widening then raises in both versions
+    epsilon = draw(st.one_of(st.floats(0.005, 0.2499), st.floats(0.2, 0.2499)))
+    epsilon_prime = draw(st.floats(0.0, 0.99)) * epsilon / 4.0
+    lipschitz = draw(st.one_of(st.floats(1e-3, 1e3), st.floats(5e-324, 1e6),
+                               st.sampled_from([5e-324, 1e-310, 1e-300, 2.0])))
+    budget = mo.iteration_budget(epsilon, epsilon_prime)
+    assume(budget <= 12)
+    cfg = mo.MedianSearchConfig(epsilon=epsilon, epsilon_prime=epsilon_prime,
+                                lipschitz=lipschitz, p_max=draw(st.integers(budget, 12)))
+    if draw(st.integers(0, 9)) == 0:
+        # a config changed after its checks: a negative eps0 pins nothing
+        cfg.epsilon_prime = -epsilon_prime
+    return cfg
+
+
+@settings(max_examples=150, deadline=None)
+# dyadic eps0 = 2^-8: 0.5 +- eps0 sit exactly on the pinning threshold
+@given(cfg=st.one_of(_lockstep_configs(),
+                     st.just(mo.MedianSearchConfig(epsilon=2**-4, epsilon_prime=2**-7))),
+       lanes=st.integers(1, 64),
+       domain=st.sampled_from([(-1.0, 1.0), (-4.0, 4.0), (0.0, 1.0)]),
+       data=st.data())
+def test_lockstep_step_matches_the_former_step(cfg, lanes, domain, data):
+    # any readouts, those on and next to the pin band's ends, 0, 1, NaN and
+    # +-inf among them: every query point, midpoint, readout and value is
+    # the former step's, bit for bit, and an inadmissible widening raises the
+    # same error
+    eps0 = cfg.epsilon0
+    edges = [0.0, 0.5, 1.0, math.nan, math.inf, -math.inf]
+    for edge in (0.5 - eps0, 0.5 + eps0):
+        for direction in (-math.inf, math.inf):
+            near = edge
+            for _ in range(2):
+                near = math.nextafter(near, direction)
+                edges.append(near)
+        edges.append(edge)
+    answers = data.draw(hnp.arrays(np.float64, (cfg.p_max, lanes), elements=st.one_of(
+        st.sampled_from(edges), st.floats(allow_nan=True, allow_infinity=True))))
+
+    def run(search):
+        asked = []
+
+        def readout(step, y):
+            asked.append(np.array(y))
+            return answers[step]
+
+        try:
+            return search(readout, lanes, cfg, domain), asked
+        except (ValueError, OverflowError) as err:
+            return type(err), asked
+
+    (got, got_asked), (want, want_asked) = run(mo._lockstep_search), run(_ref_lockstep_search)
+    if isinstance(want, type):
+        assert got is want and not got_asked and not want_asked
+        return
+    assert len(got_asked) == len(want_asked) == cfg.p_max
+    assert all(_same_bits(a, b) for a, b in zip(got_asked, want_asked))
+    assert _same_bits(got.values, want.values)
+    assert _same_bits(got.mids, want.mids)
+    assert _same_bits(got.estimates, want.estimates)
 
 
 @pytest.mark.parametrize("vectors, k", [
