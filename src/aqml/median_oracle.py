@@ -23,21 +23,15 @@ state, not once per lane.  After each step the lanes are regrouped by
 state * 3 + move.  The first step has one state, step t at most 3^t, and
 never more than the lanes.
 
-The work is split by what it depends on.  Per set of search parameters
-(cached): the widening as a fraction and the pin band, the two floats
-between which a readout pins.  Per search: the readout jitter
-eps0 (2 noise - 1) of every step and lane, and the failed lanes of every
-step.  Per state and step: the integer arithmetic and the float midpoint
-and query point.  Per lane and step, on arrays: one gather of the
-midpoints and query points, the empirical CDF count, the jittered and
-clipped readout with its failures patched, two comparisons against the
-pin band, and the regrouping.
+Each piece of a step's work runs as often as what it depends on changes;
+see `_lockstep_search` and `_noisy_medians`.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -112,6 +106,22 @@ class _Lockstep(NamedTuple):
     estimates: np.ndarray  # CDF readout of every step, (p_max, lanes)
 
 
+_SIGN = 1 << 63
+_INF_KEY = 0x7FF0000000000000  # order key of +inf; -inf has its negative
+
+
+def _order_key(x: float) -> int:
+    """An integer that orders the non-NaN floats as they compare (-0.0 and
+    0.0 share 0), one apart for neighbouring floats."""
+    bits = struct.unpack("<Q", struct.pack("<d", x))[0]
+    return -(bits ^ _SIGN) if bits & _SIGN else bits
+
+
+def _from_order_key(key: int) -> float:
+    bits = -key | _SIGN if key < 0 else key
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
 @functools.lru_cache(maxsize=64)
 def _search_constants(widening: float, epsilon0: float) -> tuple:
     """(numerator, denominator, below, above) of every search with these
@@ -121,21 +131,26 @@ def _search_constants(widening: float, epsilon0: float) -> tuple:
     rounded as a float subtraction rounds it."""
     widen = Fraction(widening).limit_denominator(2**60)  # rejects NaN and Inf
 
-    def pinned(x: float) -> bool:
-        return abs(x - 0.5) <= epsilon0
+    def pinned(key: int) -> bool:
+        return abs(_from_order_key(key) - 0.5) <= epsilon0
 
-    if not pinned(0.5):  # a negative epsilon0 pins no readout
+    half = _order_key(0.5)
+    if not pinned(half):  # a negative epsilon0 pins no readout
         return widen.numerator, widen.denominator, 0.5, math.nextafter(0.5, 0.0)
     # the rounded x - 0.5 is monotone in x, so the pinned readouts form one
-    # interval around 0.5; walk each end of it from its rounded guess
+    # interval around 0.5 (at eps0 = 0.5 it reaches down to -2^-54); bisect
+    # each end of it over the order keys, pinned at `inside`, not at `outside`
+    # (which starts one key past -inf or +inf): at most 64 probes an end
     ends = []
-    for side in (-1.0, 1.0):
-        end = 0.5 + side * epsilon0
-        while not pinned(end):
-            end = math.nextafter(end, 0.5)
-        while (out := math.nextafter(end, side * math.inf)) != end and pinned(out):
-            end = out
-        ends.append(end)
+    for outside in (-_INF_KEY - 1, _INF_KEY + 1):
+        inside = half
+        while abs(outside - inside) > 1:
+            mid = (inside + outside) // 2
+            if pinned(mid):
+                inside = mid
+            else:
+                outside = mid
+        ends.append(_from_order_key(inside))
     return widen.numerator, widen.denominator, ends[0], ends[1]
 
 

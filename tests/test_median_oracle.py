@@ -502,21 +502,22 @@ def _lockstep_configs(draw):
     return cfg
 
 
-@settings(max_examples=150, deadline=None)
-# dyadic eps0 = 2^-8: 0.5 +- eps0 sit exactly on the pinning threshold
-@given(cfg=st.one_of(_lockstep_configs(),
-                     st.just(mo.MedianSearchConfig(epsilon=2**-4, epsilon_prime=2**-7))),
-       lanes=st.integers(1, 64),
-       domain=st.sampled_from([(-1.0, 1.0), (-4.0, 4.0), (0.0, 1.0)]),
-       data=st.data())
-def test_lockstep_step_matches_the_former_step(cfg, lanes, domain, data):
+def _check_lockstep_matches_the_former_step(cfg, lanes, domain, data):
     # any readouts, those on and next to the pin band's ends, 0, 1, NaN and
     # +-inf among them: every query point, midpoint, readout and value is
     # the former step's, bit for bit, and an inadmissible widening raises the
     # same error
     eps0 = cfg.epsilon0
-    edges = [0.0, 0.5, 1.0, math.nan, math.inf, -math.inf]
-    for edge in (0.5 - eps0, 0.5 + eps0):
+    edges = [0.0, -0.0, 0.5, 1.0, math.nan, math.inf, -math.inf]
+    # past eps0 = 1/4 the band's lower end is far from 0.5 - eps0 in floats:
+    # at eps0 = 1/2 it is -2^-54, where x - 0.5 rounds to -0.5
+    centres = [0.5 - eps0, 0.5 + eps0, 2**-53, 2**-54, 2**-55, -2**-54, -2**-55]
+    try:
+        centres += mo._search_constants(
+            cfg.epsilon_prime + cfg.lipschitz * eps0, eps0)[2:]
+    except (ValueError, OverflowError):
+        pass
+    for edge in centres:
         for direction in (-math.inf, math.inf):
             near = edge
             for _ in range(2):
@@ -547,6 +548,59 @@ def test_lockstep_step_matches_the_former_step(cfg, lanes, domain, data):
     assert _same_bits(got.values, want.values)
     assert _same_bits(got.mids, want.mids)
     assert _same_bits(got.estimates, want.estimates)
+
+
+_LANES_AND_DOMAINS = dict(lanes=st.integers(1, 64),
+                          domain=st.sampled_from([(-1.0, 1.0), (-4.0, 4.0), (0.0, 1.0)]),
+                          data=st.data())
+
+
+@settings(max_examples=150, deadline=None)
+# dyadic eps0 = 2^-8: 0.5 +- eps0 sit exactly on the pinning threshold
+@given(cfg=st.one_of(_lockstep_configs(),
+                     st.just(mo.MedianSearchConfig(epsilon=2**-4, epsilon_prime=2**-7))),
+       **_LANES_AND_DOMAINS)
+def test_lockstep_step_matches_the_former_step(cfg, lanes, domain, data):
+    _check_lockstep_matches_the_former_step(cfg, lanes, domain, data)
+
+
+# eps0 = 1/2 and one ulp on each side: the band's lower end lies at or next
+# to 0, tens of quadrillions of floats below 0.5 - eps0; the configs are
+# parameters, not @examples, because an @example cannot supply st.data()
+@pytest.mark.parametrize("epsilon_prime, lipschitz", [
+    (0.04, 0.08),  # eps0 = 0.5 exactly
+    (math.nextafter(0.5, 0.0) / 16, 1 / 16),
+    (math.nextafter(0.5, 1.0) / 16, 1 / 16),
+])
+@settings(max_examples=30, deadline=None)
+@given(**_LANES_AND_DOMAINS)
+def test_lockstep_step_matches_the_former_step_near_half_eps0(epsilon_prime, lipschitz,
+                                                              lanes, domain, data):
+    cfg = mo.MedianSearchConfig(epsilon=0.2, epsilon_prime=epsilon_prime, lipschitz=lipschitz)
+    _check_lockstep_matches_the_former_step(cfg, lanes, domain, data)
+
+
+@settings(max_examples=200, deadline=None)
+@example(epsilon0=0.5)
+@example(epsilon0=math.nextafter(0.5, 0.0))
+@example(epsilon0=math.nextafter(0.5, 1.0))
+@example(epsilon0=math.inf)
+@example(epsilon0=-1.0)
+@given(epsilon0=st.one_of(st.floats(0.0, 0.5), st.floats(allow_nan=False)))
+def test_pin_band_holds_exactly_the_pinned_readouts(epsilon0):
+    # found by bisection: a few dozen probes at any eps0, so even the widest
+    # bands come back at once
+    below, above = mo._search_constants(0.125, epsilon0)[2:]
+
+    def pinned(x):
+        return abs(x - 0.5) <= epsilon0
+
+    if not pinned(0.5):
+        assert above < below == 0.5
+        return
+    assert below <= 0.5 <= above and pinned(below) and pinned(above)
+    assert below == -math.inf or not pinned(math.nextafter(below, -math.inf))
+    assert above == math.inf or not pinned(math.nextafter(above, math.inf))
 
 
 @pytest.mark.parametrize("vectors, k", [
