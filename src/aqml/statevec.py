@@ -123,26 +123,27 @@ def ae_draws(count: int, delta0: float, rng: np.random.Generator) -> tuple:
     if delta0 <= 0.0:
         noise[:] = rng.random(count)
         return failed, noise
+    # every call takes at most two draws, so 2 count cover them all; the
+    # failures are walked in that buffer, then the generator is put back and
+    # advanced by exactly the draws the calls take
+    state = rng.bit_generator.state
+    buf = rng.random(2 * count)
     done = 0
-    while done < count:
-        # every remaining call takes at least one draw, so none is wasted
-        buf = rng.random(count - done)
-        pos = 0  # offset of the next failure test in buf
-        for c in np.flatnonzero(buf < delta0):
-            if (c - pos) % 2:
-                continue  # a noise draw, not a test
-            passed = (c - pos) // 2
-            noise[done:done + passed] = buf[pos + 1:c:2]
-            failed[done + passed] = True
-            done += passed + 1
-            pos = c + 1
-        passed = (len(buf) - pos) // 2
-        noise[done:done + passed] = buf[pos + 1:pos + 2 * passed:2]
-        done += passed
-        if (len(buf) - pos) % 2:
-            # the last draw was a passed test whose noise is still to come
-            noise[done] = rng.random()
-            done += 1
+    pos = 0  # offset of the next failure test in buf
+    for c in np.flatnonzero(buf < delta0):
+        if (c - pos) % 2:
+            continue  # a noise draw, not a test
+        passed = (c - pos) // 2
+        if done + passed >= count:
+            break  # the remaining calls all pass before this draw
+        noise[done:done + passed] = buf[pos + 1:c:2]
+        failed[done + passed] = True
+        done += passed + 1
+        pos = c + 1
+    passed = count - done
+    noise[done:] = buf[pos + 1:pos + 2 * passed:2]
+    rng.bit_generator.state = state
+    rng.random(pos + 2 * passed)
     return failed, noise
 
 

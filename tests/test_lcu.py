@@ -491,6 +491,14 @@ def complex_loop_channel(A, cfg, rng):
          failure_mode="worst-case", time=0.5)  # r = 2 over blocks of 64 trials, 70 = 64 + 6
 @example(seed=6, dim=32, d=3, order=8, n_trials=17, eta=1e-2, delta=1e-3,
          failure_mode="worst-case", time=0.5)  # r = 3, blocks of 16 trials, 17 = 16 + 1
+@example(seed=0, dim=16, d=3, order=7, n_trials=150, eta=0.0, delta=1e-3,
+         failure_mode="worst-case", time=0.5)  # 12 failed trials and 138 clean ones sharing one product
+@example(seed=0, dim=8, d=2, order=6, n_trials=70, eta=0.0, delta=1e-2,
+         failure_mode="worst-case", time=0.5)  # 15 failed trials, 55 clean
+@example(seed=0, dim=8, d=2, order=6, n_trials=20, eta=0.0, delta=1e-3,
+         failure_mode="worst-case", time=0.5)  # all 20 clean: no failed trial to run
+@example(seed=4, dim=16, d=3, order=6, n_trials=6, eta=0.0, delta=1e-2,
+         failure_mode="worst-case", time=0.5)  # exactly one clean: every trial runs
 def test_simulate_noisy_matches_complex_loop(
     seed, dim, d, order, n_trials, eta, delta, failure_mode, time
 ):
@@ -511,6 +519,44 @@ def test_simulate_noisy_matches_complex_loop(
         assert rep.segments == r_ref
         assert np.abs(rep.effective_channel - Q_ref).max() <= 1e-13
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("seed, dim, d, n_trials, delta, n_clean", [
+    (0, 16, 3, 1600, 1e-4, 1583),
+    (0, 8, 2, 20, 1e-3, 20),
+    (4, 16, 3, 6, 1e-2, 1),
+])
+def test_simulate_noisy_runs_the_clean_trials_once(
+    monkeypatch, seed, dim, d, n_trials, delta, n_clean
+):
+    # at eta = 0 a trial none of whose reads failed repeats the noiseless
+    # product: the trial loop sees the failed trials plus one clean trial
+    # (every trial when at most one is clean), and the oracle charges are
+    # those of every trial
+    A = random_sparse_symmetric(np.random.default_rng(seed), dim, d)
+    cfg = lcu.TaylorConfig(order=6, m_disc=10**4, eta=0.0, delta=delta,
+                           n_trials=n_trials, failure_mode="worst-case", time=0.5)
+    seen = []
+    trial_sums = lcu._trial_sums
+
+    def spy(quant, *args):
+        seen.append(len(quant))
+        return trial_sums(quant, *args)
+
+    monkeypatch.setattr(lcu, "_trial_sums", spy)
+    rep = lcu.simulate_noisy(A, cfg, np.random.default_rng([seed, 1]))
+    r = rep.segments
+    rows, cols = np.nonzero(np.abs(np.triu(A)) > lcu.SPARSITY_THRESHOLD)
+    base_vals = A[rows, cols]
+    reads = lcu._noisy_entry_samples(base_vals, cfg, float(np.max(np.abs(A))),
+                                     np.random.default_rng([seed, 1]), n_trials * r)
+    # no entry is below max_norm / m_disc, so a failed read quantizes apart
+    assert (reads.reshape(n_trials, r, -1) == base_vals).all(axis=(1, 2)).sum() == n_clean
+    assert seen == ([n_trials - n_clean, 1] if n_clean > 1 else [n_trials])
+    assert rep.queries.charges == {
+        "matrix_element_oracle": n_trials * r * len(rows),
+        "lcu_segment_queries": n_trials * r * cfg.order,
+    }
 
 
 def test_simulate_noisy_memory_is_blocked():
