@@ -19,7 +19,7 @@ import traceback
 import numpy as np
 
 from . import boosting, embedding, kmeans, linalg, qpca, statevec, verify
-from .util import fmt_float, stream
+from .util import check_seed, fmt_float, stream
 
 CSV_SCHEMA_VERSION = "aqml-csv-1"
 
@@ -380,11 +380,14 @@ def main(argv=None) -> int:
     # a JSONDecodeError is a ValueError; a RecursionError is a config nested
     # deeper than the decoder or the type check can follow
     try:
+        check_seed(args.seed)
         cfg = parse_config(args.subcommand, args.config)
+        # an existing file at --out, or a path under one, cannot hold the
+        # artifacts
+        os.makedirs(args.out, exist_ok=True)
     except (ValueError, TypeError, OSError, RecursionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    os.makedirs(args.out, exist_ok=True)
     header = {"subcommand": args.subcommand, "seed": args.seed, "config": cfg}
     print(json.dumps(header, sort_keys=True))
     try:

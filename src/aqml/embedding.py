@@ -273,14 +273,18 @@ def _order_statistics(x: np.ndarray, ranks) -> tuple[np.ndarray, int, np.ndarray
 
     x is taken for near-uniform on [0, 1], so rank r sits near the r / n
     quantile.  Only the entries in [lo, hi) = [ranks[0] / n - w,
-    (ranks[-1] + 1) / n + w), w = 4 / sqrt(n) (at least 8 standard
-    deviations of a uniform order statistic), are partitioned.  Returns the
-    values, the count of entries below lo and the window's entries; when the
-    counts show a rank outside the window, the whole array is partitioned
-    and the count is 0 with x as the window.
+    (ranks[-1] + 1) / n + w), w = 2 / sqrt(n) (at least 4 standard
+    deviations of a uniform order statistic, whose spread is at most
+    0.5 / sqrt(n)), are partitioned.  Returns the values, the count of
+    entries below lo and the window's entries; when the counts show a rank
+    outside the window, the whole array is partitioned and the count is 0
+    with x as the window.  For uniform draws that miss takes one of two
+    window edges past 4 standard deviations, about 6e-5 of calls, and costs
+    one partition of all n entries, so the values always equal
+    np.sort(x)[ranks].
     """
     n = x.size
-    half = 4.0 / math.sqrt(n)
+    half = 2.0 / math.sqrt(n)
     below = x < ranks[0] / n - half
     inside = x < (ranks[-1] + 1) / n + half
     offset = int(np.count_nonzero(below))

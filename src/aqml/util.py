@@ -8,13 +8,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+def check_seed(seed: int) -> int:
+    """The root seed as one 32-bit word; a seed outside [0, 2^32 - 1]
+    raises ValueError (masking it would give two seeds one stream)."""
+    if not 0 <= int(seed) <= 0xFFFFFFFF:
+        raise ValueError(f"seed must lie in [0, {0xFFFFFFFF}], got {seed}")
+    return int(seed)
+
+
 def stream(seed: int, *names) -> np.random.Generator:
-    """Named RNG stream derived from a root seed.
+    """Named RNG stream derived from a root seed (see `check_seed`).
 
     Streams are independent for distinct name tuples and stable across runs,
     so adding trials never perturbs existing streams.
     """
-    words = [int(seed) & 0xFFFFFFFF]
+    words = [check_seed(seed)]
     for name in names:
         digest = hashlib.sha256(str(name).encode()).digest()
         words.append(int.from_bytes(digest[:4], "big"))

@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from aqml import boosting, cli, embedding, kmeans, linalg
+from aqml.util import stream
 
 
 def write_cfg(tmp_path, name, payload):
@@ -33,6 +34,45 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     rc = cli.main(["qpca", "--config", cfg, "--out", str(tmp_path)])
     assert rc == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [-1, 2**32, -(2**32)])
+def test_seed_outside_32_bits_exits_2_before_the_header(tmp_path, capsys, seed):
+    # masked to 32 bits, each would run the stream of a seed inside them
+    rc = cli.main(["kmeans", "--seed", str(seed), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error: seed must lie in [0, 4294967295]" in captured.err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**32])
+def test_stream_rejects_a_seed_outside_32_bits(seed):
+    with pytest.raises(ValueError, match="seed must lie in"):
+        stream(seed, "kmeans")
+
+
+def test_streams_of_seeds_inside_32_bits_are_unchanged():
+    # raw outputs pinned from the streams as they were before the range
+    # check: an in-range seed keeps its stream and its artifacts' bytes
+    assert list(stream(5, "kmeans").bit_generator.random_raw(3)) == [
+        4615021484055516092, 11666434961061168249, 1628646505131595945]
+    assert list(stream(2**32 - 1, "qpca", "0").bit_generator.random_raw(2)) == [
+        16350973645250779820, 14368912270992749420]
+
+
+@pytest.mark.parametrize("under_file", [False, True])
+def test_unusable_out_exits_2_before_the_header(tmp_path, capsys, under_file):
+    blocker = tmp_path / "artifacts"
+    blocker.write_text("not a directory")
+    out = blocker / "sub" if under_file else blocker
+    rc = cli.main(["kmeans", "--out", str(out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error:" in captured.err
+    assert blocker.read_text() == "not a directory"
 
 
 def test_kmeans_budget_exceeding_population_exits_2(tmp_path, capsys):

@@ -422,3 +422,40 @@ def _values_and_ranks(draw):
 @given(case=_values_and_ranks())
 def test_middle_order_statistics_any_values(case):
     _check_order_statistics(*case)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_stability_windows_hold_under_one_and_a_half_percent(monkeypatch, seed):
+    # each rank pair is selected from the draws within 2 / sqrt(n) of its
+    # quantile: about 4 sqrt(n) = 1265 of 10^5 draws, for the clean pair at
+    # 1/2 and the poisoned pair at 1/2 + alpha
+    n = 10**5
+    sizes = []
+
+    def spy(x, ranks):
+        values, offset, window = select(x, ranks)
+        sizes.append(window.size)
+        return values, offset, window
+
+    select = embedding._order_statistics
+    monkeypatch.setattr(embedding, "_order_statistics", spy)
+    embedding.median_stability_check(embedding.uniform_dist(), 0.05, 3, n,
+                                     rng=np.random.default_rng(seed))
+    assert len(sizes) == 6
+    assert max(sizes) < 0.015 * n
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("skew", [lambda u: u ** 1.03, lambda u: 1.0 - (1.0 - u) ** 1.03],
+                         ids=["power", "reflected-power"])
+def test_middle_ranks_past_the_window_take_the_full_partition(seed, skew):
+    n = 10**5
+    x = skew(np.random.default_rng(seed).random(n))
+    middle = np.unique([(n - 1) // 2, n // 2])
+    # the middle order statistics lie between 4 and 8 standard deviations
+    # (0.5 / sqrt(n) each) from 1/2, outside the window
+    deviation = np.abs(np.sort(x)[middle] - 0.5) * 2.0 * math.sqrt(n)
+    assert np.all((deviation > 4.0) & (deviation < 8.0))
+    values, offset, window = embedding._order_statistics(x, middle)
+    assert offset == 0 and window is x
+    _check_order_statistics(x, middle)
