@@ -278,10 +278,10 @@ def _order_statistics(x: np.ndarray, ranks) -> tuple[np.ndarray, int, np.ndarray
     0.5 / sqrt(n)), are partitioned.  Returns the values, the count of
     entries below lo and the window's entries; when the counts show a rank
     outside the window, the whole array is partitioned and the count is 0
-    with x as the window.  For uniform draws that miss takes one of two
-    window edges past 4 standard deviations, about 6e-5 of calls, and costs
-    one partition of all n entries, so the values always equal
-    np.sort(x)[ranks].
+    with x as the window.  For uniform draws a miss needs a count 4
+    standard deviations past one of the two window edges (about 6e-5 of
+    calls) and costs one partition of all n entries, so the values always
+    equal np.sort(x)[ranks].
     """
     n = x.size
     half = 2.0 / math.sqrt(n)
