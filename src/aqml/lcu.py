@@ -35,66 +35,56 @@ BLOCK_BYTES = 128 * 1024
 MAX_ORACLE_READS = 2**26
 
 
-@dataclass
-class OneSparseDecomposition:
-    """Sum of one-sparse Hermitian terms reconstructing the source matrix;
-    the diagonal term, when present, comes first."""
-
-    terms: list  # list of (dim, dim) arrays, each one-sparse Hermitian
-
-    def reconstruct(self) -> np.ndarray:
-        return np.sum(self.terms, axis=0)
+def _support(A: np.ndarray) -> tuple:
+    """Positions (rows[k], cols[k]) of the stored upper-triangle entries of
+    A, diagonal included, in row-major order."""
+    return np.nonzero(np.abs(np.triu(A)) > SPARSITY_THRESHOLD)
 
 
-def _greedy_edge_coloring(A: np.ndarray) -> tuple:
-    """Diagonal flag, upper-triangle support edges (ps[k], qs[k]) in row-major
-    order, and the greedy color of each edge (smallest color free at both
-    endpoints; at most 2d-1 colors for max off-diagonal degree d)."""
-    has_diag = bool(np.any(np.abs(np.diag(A)) > SPARSITY_THRESHOLD))
-    ps, qs = np.nonzero(np.abs(np.triu(A, 1)) > SPARSITY_THRESHOLD)
-    colors = np.empty(len(ps), dtype=np.int64)
-    used_at = [set() for _ in range(A.shape[0])]
-    for k, (p, q) in enumerate(zip(ps.tolist(), qs.tolist())):
+def _greedy_edge_coloring(rows, cols, dim: int) -> np.ndarray:
+    """Layer of each stored entry (rows[k], cols[k]): 0 on the diagonal, and
+    off it the greedy color of the edge, the smallest color >= 1 free at
+    both endpoints (at most 2d-1 colors for max off-diagonal degree d)."""
+    colors = np.zeros(len(rows), dtype=np.int64)
+    used_at = [set() for _ in range(dim)]
+    for k, (p, q) in enumerate(zip(rows.tolist(), cols.tolist())):
+        if p == q:
+            continue
         c = 1
         while c in used_at[p] or c in used_at[q]:
             c += 1
         colors[k] = c
         used_at[p].add(c)
         used_at[q].add(c)
-    return has_diag, ps, qs, colors
+    return colors
 
 
-def _layer_count(A: np.ndarray) -> int:
-    """Number of one-sparse layers `one_sparse_decompose(A)` builds, without
-    building them."""
-    has_diag, _, _, colors = _greedy_edge_coloring(A)
-    return int(has_diag) + len(np.unique(colors))
+def one_sparse_decompose(H) -> list:
+    """Split a sparse Hermitian matrix into one-sparse Hermitian layers,
+    returned as a list of (dim, dim) arrays that sum to the matrix.
 
-
-def one_sparse_decompose(H) -> OneSparseDecomposition:
-    """Split a sparse Hermitian matrix into one-sparse Hermitian layers.
-
-    The diagonal gets a dedicated term; the off-diagonal support graph is
-    edge-colored greedily (at most 2d-1 colors for max off-diagonal degree
-    d), each color class being a matching and hence one-sparse.
+    The diagonal gets a dedicated term, first; the off-diagonal support
+    graph is edge-colored greedily (at most 2d-1 colors for max off-diagonal
+    degree d), each color class being a matching and hence one-sparse.
     """
     A = linalg.check_hermitian(H)
-    has_diag, ps, qs, colors = _greedy_edge_coloring(A)
+    rows, cols = _support(A)
+    colors = _greedy_edge_coloring(rows, cols, A.shape[0])
     terms = []
-    if has_diag:
-        terms.append(np.diag(np.diag(A)).astype(np.complex128))
     for c in np.unique(colors):
-        p, q = ps[colors == c], qs[colors == c]
+        if c == 0:
+            terms.append(np.diag(np.diag(A)))
+            continue
+        p, q = rows[colors == c], cols[colors == c]
         term = np.zeros_like(A)
         term[p, q] = A[p, q]
         term[q, p] = A[q, p]
         terms.append(term)
-    dec = OneSparseDecomposition(terms=terms)
     # one-sparse guarantee: every term has at most one nonzero per row
-    for term in dec.terms:
+    for term in terms:
         if row_sparsity(term) > 1:
             raise AssertionError("edge coloring produced a non-matching layer")
-    return dec
+    return terms
 
 
 def sign_count_average(values: np.ndarray, max_norm: float, m_disc: int) -> np.ndarray:
@@ -281,30 +271,28 @@ def simulate_noisy(
 
     A trial whose every read quantizes to the noiseless value repeats the
     noiseless product bit for bit.  At eta = 0 that is every trial with no
-    failed read, a fraction (1 - delta)^(r nnz) of them.  When two or more
-    trials are clean, the blocks run the other trials and one clean trial,
-    whose sums enter Q weighted by the clean count; Q changes only in
-    summation order.  The draws and the charges (T r nnz oracle reads,
-    T r K segment queries) stay those of every trial.  With at most one
-    clean trial every trial runs, as in the blocked loop alone.  At dim 16,
-    d 3, K 6 and eta 0 (2-vCPU Xeon) a run takes 3.6 ms in place of 18.8 ms
-    at delta 1e-4 and T 1600, 1.6 in place of 5.0 at delta 1e-3 and T 400,
-    and 3.4 in place of 5.0 at delta 1e-2.
+    failed read, a fraction (1 - delta)^(r nnz) of them.  When any trial is
+    clean, the blocks run the other trials and one clean trial, whose sums
+    enter Q weighted by the clean count; Q changes only in summation order.
+    The draws and the charges (T r nnz oracle reads, T r K segment queries)
+    stay those of every trial.  With no clean trial the blocks run every
+    trial.  At dim 16, d 3, K 6 and eta 0 (2-vCPU Xeon) a run takes 3.6 ms
+    in place of 18.8 ms at delta 1e-4 and T 1600, 1.6 in place of 5.0 at
+    delta 1e-3 and T 400, and 3.4 in place of 5.0 at delta 1e-2.
 
     One SVD Q = W diag(sigma) V^dag gives the polar unitary W V^dag that
     the effective Hamiltonian is extracted from, its distance max|sigma - 1|
     to Q, and the unitarity drift ||Q^dag Q - I|| = max|sigma^2 - 1|.
     """
     H = linalg.check_hermitian(H)
-    layers = _layer_count(H)
+    dim = H.shape[0]
+    # one pass over the stored entries gives the read positions and the layers
+    rows, cols = _support(H)
+    layers = len(np.unique(_greedy_edge_coloring(rows, cols, dim)))
     max_norm = float(np.max(np.abs(H)))
     r = segment_count(max_norm, cfg, layers)
     t_seg = cfg.time / r
     counter = QueryCounter()
-    dim = H.shape[0]
-
-    # sparse entry bookkeeping: positions of upper-triangle + diagonal support
-    rows, cols = np.nonzero(np.abs(np.triu(H)) > SPARSITY_THRESHOLD)
     if len(rows) == 0:
         # no stored entry: e^{-i 0 t} = I exactly, with no oracle read or draw
         return NoisySimulationReport(
@@ -343,14 +331,13 @@ def simulate_noisy(
     exact = _scaled_quantized(base_vals.copy(), max_norm, cfg.m_disc, t_seg)
     clean = (quant == exact).all(axis=(1, 2))
     n_clean = int(np.count_nonzero(clean))
-    if n_clean > 1:
-        Q_re, Q_im = _trial_sums(quant[~clean], rows, cols, dim, cfg.order)
+    Q_re, Q_im = _trial_sums(quant[~clean] if n_clean else quant, rows, cols, dim,
+                             cfg.order)
+    if n_clean:
         shared_re, shared_im = _trial_sums(quant[clean.argmax(), None], rows, cols,
                                            dim, cfg.order)
         Q_re += n_clean * shared_re
         Q_im += n_clean * shared_im
-    else:
-        Q_re, Q_im = _trial_sums(quant, rows, cols, dim, cfg.order)
     counter.charge("lcu_segment_queries", T * r * cfg.order)
     Q = Q_re / T + 1j * (Q_im / T)
 
@@ -388,7 +375,13 @@ def _trial_sums(quant: np.ndarray, rows, cols, dim: int, order: int) -> tuple:
     """(sum_t Re P_t, sum_t Im P_t) of the segmented order-K products P_t
     of the trials whose scaled, quantized reads are quant (trials, r, nnz),
     entry k of each segment sitting at (rows[k], cols[k]) and its mirror;
-    zeros for no trials.  The blocked real loop of `simulate_noisy`."""
+    zeros for no trials.  The blocked real loop of `simulate_noisy`.
+
+    The step stays four batched products and two adds, 52 us per 64-trial
+    block at dim 16 (2-vCPU Xeon), against 66 for one complex product, 29 +
+    60 to fill for a 32 x 32 real block form, 96 for a row-stacked [C; S],
+    123 for a column-stacked [Pr | Pi]; B = A A^T via syrk takes 39 us,
+    A @ A 16."""
     # real arithmetic: the segment series is C - iS, the running product
     # Pr + iPi starts from the first segment, (C_0, -S_0).  Trials run in
     # blocks over one buffer of stacks: the powers P[j] = B^j of B = A^2

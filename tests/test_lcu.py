@@ -37,25 +37,25 @@ def random_sparse_symmetric(rng, dim, d):
 
 
 def test_decompose_diagonal_single_term():
-    dec = lcu.one_sparse_decompose(np.diag([0.3, -0.2, 0.5, 0.1]))
-    assert len(dec.terms) == 1
-    assert np.allclose(dec.terms[0], np.diag([0.3, -0.2, 0.5, 0.1]))
+    terms = lcu.one_sparse_decompose(np.diag([0.3, -0.2, 0.5, 0.1]))
+    assert len(terms) == 1
+    assert np.allclose(terms[0], np.diag([0.3, -0.2, 0.5, 0.1]))
 
 
 def test_decompose_pauli_x_single_term():
-    dec = lcu.one_sparse_decompose(X)
-    assert len(dec.terms) == 1
-    assert np.allclose(dec.terms[0], X)
+    terms = lcu.one_sparse_decompose(X)
+    assert len(terms) == 1
+    assert np.allclose(terms[0], X)
 
 
 def test_decompose_reconstruction_and_one_sparsity():
     rng = stream(0, "lcu", "dec")
     for trial in range(20):
         A = random_sparse_symmetric(rng, 16, 3)
-        dec = lcu.one_sparse_decompose(A)
-        assert len(dec.terms) <= 6  # 2d layers suffice for d-sparse symmetric
-        assert np.abs(dec.reconstruct() - A).max() <= 1e-12
-        for t in dec.terms:
+        terms = lcu.one_sparse_decompose(A)
+        assert len(terms) <= 6  # 2d layers suffice for d-sparse symmetric
+        assert np.abs(np.sum(terms, axis=0) - A).max() <= 1e-12
+        for t in terms:
             nz = np.abs(t) > 1e-12
             assert nz.sum(axis=0).max() <= 1
             assert nz.sum(axis=1).max() <= 1
@@ -81,13 +81,13 @@ def _sparse_hermitian(draw):
 @settings(max_examples=150, deadline=None)
 @given(A=_sparse_hermitian())
 def test_decomposition_layers_are_one_sparse_and_sum_to_the_matrix(A):
-    dec = lcu.one_sparse_decompose(A)
-    for term in dec.terms:
+    terms = lcu.one_sparse_decompose(A)
+    for term in terms:
         nz = np.abs(term) > lcu.SPARSITY_THRESHOLD
         assert nz.sum(axis=0).max() <= 1 and nz.sum(axis=1).max() <= 1
         assert np.array_equal(term, term.conj().T)
     # every entry lands in exactly one layer, so the sum is exact
-    total = dec.reconstruct() if dec.terms else np.zeros_like(A)
+    total = np.sum(terms, axis=0) if terms else np.zeros_like(A)
     assert np.array_equal(total, A)
 
 
@@ -96,7 +96,7 @@ def test_one_sparse_norm_is_max_entry():
     rng = stream(0, "lcu", "norm")
     for trial in range(25):
         A = random_sparse_symmetric(rng, 8, 2)
-        for t in lcu.one_sparse_decompose(A).terms:
+        for t in lcu.one_sparse_decompose(A):
             assert abs(
                 linalg.norm(t) - np.abs(t).max()
             ) <= 1e-12
@@ -263,7 +263,8 @@ def test_simulate_noisy_refuses_too_many_oracle_reads(monkeypatch):
     assert rng.bit_generator.state == before
     # the cap itself is allowed, one read more is not
     cfg = lcu.TaylorConfig(order=4, m_disc=10**4, n_trials=3, time=0.5)
-    r = lcu.segment_count(float(np.max(np.abs(A))), cfg, lcu._layer_count(A))
+    r = lcu.segment_count(float(np.max(np.abs(A))), cfg,
+                          len(lcu.one_sparse_decompose(A)))
     monkeypatch.setattr(lcu, "MAX_ORACLE_READS", 3 * r * nnz)
     lcu.simulate_noisy(A, cfg, rng)
     monkeypatch.setattr(lcu, "MAX_ORACLE_READS", 3 * r * nnz - 1)
@@ -432,7 +433,7 @@ def complex_loop_channel(A, cfg, rng):
     complex running product started from the identity.  Returns (Q, r)."""
     H = linalg.check_hermitian(A)
     max_norm = float(np.max(np.abs(H)))
-    r = lcu.segment_count(max_norm, cfg, len(lcu.one_sparse_decompose(H).terms))
+    r = lcu.segment_count(max_norm, cfg, len(lcu.one_sparse_decompose(H)))
     t_seg = cfg.time / r
     dim = H.shape[0]
     rows, cols = np.nonzero(np.abs(np.triu(H)) > lcu.SPARSITY_THRESHOLD)
@@ -498,7 +499,7 @@ def complex_loop_channel(A, cfg, rng):
 @example(seed=0, dim=8, d=2, order=6, n_trials=20, eta=0.0, delta=1e-3,
          failure_mode="worst-case", time=0.5)  # all 20 clean: no failed trial to run
 @example(seed=4, dim=16, d=3, order=6, n_trials=6, eta=0.0, delta=1e-2,
-         failure_mode="worst-case", time=0.5)  # exactly one clean: every trial runs
+         failure_mode="worst-case", time=0.5)  # exactly one clean: 5 failed trials, then the shared one
 def test_simulate_noisy_matches_complex_loop(
     seed, dim, d, order, n_trials, eta, delta, failure_mode, time
 ):
@@ -531,8 +532,8 @@ def test_simulate_noisy_runs_the_clean_trials_once(
 ):
     # at eta = 0 a trial none of whose reads failed repeats the noiseless
     # product: the trial loop sees the failed trials plus one clean trial
-    # (every trial when at most one is clean), and the oracle charges are
-    # those of every trial
+    # (every trial when none is clean), and the oracle charges are those of
+    # every trial
     A = random_sparse_symmetric(np.random.default_rng(seed), dim, d)
     cfg = lcu.TaylorConfig(order=6, m_disc=10**4, eta=0.0, delta=delta,
                            n_trials=n_trials, failure_mode="worst-case", time=0.5)
@@ -552,7 +553,7 @@ def test_simulate_noisy_runs_the_clean_trials_once(
                                      np.random.default_rng([seed, 1]), n_trials * r)
     # no entry is below max_norm / m_disc, so a failed read quantizes apart
     assert (reads.reshape(n_trials, r, -1) == base_vals).all(axis=(1, 2)).sum() == n_clean
-    assert seen == ([n_trials - n_clean, 1] if n_clean > 1 else [n_trials])
+    assert seen == ([n_trials - n_clean, 1] if n_clean else [n_trials])
     assert rep.queries.charges == {
         "matrix_element_oracle": n_trials * r * len(rows),
         "lcu_segment_queries": n_trials * r * cfg.order,
@@ -583,12 +584,28 @@ def test_simulate_noisy_memory_is_blocked():
     dim=st.integers(1, 16),
     d=st.integers(1, 5),
     zero_diagonal=st.booleans(),
+    tiny_diagonal=st.booleans(),
 )
-def test_layer_count_matches_decomposition(seed, dim, d, zero_diagonal):
+@example(seed=0, dim=8, d=3, zero_diagonal=False,
+         tiny_diagonal=True)  # A[0, 0] = 1e-13 beside stored diagonal and row-0 entries
+@example(seed=0, dim=1, d=1, zero_diagonal=False, tiny_diagonal=False)  # dim 1
+@example(seed=0, dim=1, d=1, zero_diagonal=True,
+         tiny_diagonal=True)  # only 1e-13, no stored entry: 0 layers, bound_scale 0
+def test_layer_count_matches_decomposition(seed, dim, d, zero_diagonal, tiny_diagonal):
+    # the report's layer count and bound scale come from simulate_noisy's one
+    # pass over the stored entries; they must agree with the built layers and
+    # with the row sparsity, at the same structural-zero threshold
     A = random_sparse_symmetric(np.random.default_rng(seed), dim, min(d, dim))
     if zero_diagonal:
         np.fill_diagonal(A, 0.0)
-    assert lcu._layer_count(A) == len(lcu.one_sparse_decompose(A).terms)
+    if tiny_diagonal:
+        A[0, 0] = 1e-13
+    cfg = lcu.TaylorConfig(order=2, eta=1e-3, n_trials=1, time=0.5)
+    rep = lcu.simulate_noisy(A, cfg, np.random.default_rng(seed))
+    assert rep.achieved_layers == len(lcu.one_sparse_decompose(A))
+    assert (rep.achieved_layers == 0) == (lcu.row_sparsity(A) == 0)
+    max_norm = float(np.max(np.abs(A)))
+    assert rep.bound_scale == lcu.row_sparsity(A) * (max_norm * cfg.delta + cfg.eta)
 
 
 def polar_unitary(Q):
