@@ -6,7 +6,7 @@ expectation-sign baseline, and bounded-fraction adversary experiments."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -16,11 +16,14 @@ from . import linalg, statevec
 class EnsembleSpec:
     """Row j of `normals` is the normal w_j of classifier j, whose operator
     is the reflection R_j = 2 w_hat_j w_hat_j^T - I; `weights` holds b_j.
-    Both are checked here; the gap of C = sum_j b_j R_j is read from C's
-    eigendecomposition, which train_bootstrap_ensemble returns."""
+    Both are checked here.  The spec also holds the ensemble operator
+    C = sum_j b_j R_j and its eigendecomposition, built once here; the gap
+    2 min |lambda|, classification and every attack read them from it."""
 
     normals: np.ndarray  # (n, m), every row nonzero
     weights: np.ndarray  # (n,)
+    operator: np.ndarray = field(init=False, repr=False)  # C, (m, m)
+    decomposition: linalg.EigenDecomposition = field(init=False, repr=False)
 
     def __post_init__(self):
         W = np.asarray(self.normals, dtype=np.float64)
@@ -35,6 +38,13 @@ class EnsembleSpec:
             raise ValueError("an ensemble needs at least two positively weighted classifiers")
         object.__setattr__(self, "normals", W)
         object.__setattr__(self, "weights", b)
+        C = _reflection_sum(W, b)
+        dec = linalg.eig_hermitian(C)
+        # C is Hermitian, so its spectral norm is its largest |eigenvalue|
+        if np.max(np.abs(dec.eigenvalues)) > 1.0 + 1e-10:
+            raise AssertionError("convex combination of reflections exceeded unit norm")
+        object.__setattr__(self, "operator", C)
+        object.__setattr__(self, "decomposition", dec)
 
 
 def _reflection_sum(normals: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -56,13 +66,6 @@ def classifier_operator(w: np.ndarray) -> np.ndarray:
     return _reflection_sum(w[None, :], np.ones(1))
 
 
-def ensemble_operator(spec: EnsembleSpec) -> np.ndarray:
-    C = _reflection_sum(spec.normals, spec.weights)
-    if linalg.norm(C) > 1.0 + 1e-10:
-        raise AssertionError("convex combination of reflections exceeded unit norm")
-    return C
-
-
 # bootstrap resamples fitted per batch: about 2^20 gathered feature values
 _BOOTSTRAP_BATCH_VALUES = 2**20
 
@@ -72,15 +75,11 @@ def train_bootstrap_ensemble(
     labels: np.ndarray,
     count: int,
     rng: np.random.Generator,
-) -> tuple[EnsembleSpec, np.ndarray, linalg.EigenDecomposition]:
+) -> EnsembleSpec:
     """Bootstrap-resample the labeled data `count` times and fit one
     mean-difference hyperplane (normal mu+ - mu-, midpoint offset folded
     into the lifted coordinate) per resample; uniform ensemble weights.
     A resample that comes out single-class is drawn again.
-
-    Returns the spec, its operator C = ensemble_operator(spec) and C's
-    eigendecomposition, so a caller that classifies with C, or reads its
-    gap 2 min |lambda|, need not build or decompose it again.
 
     Resamples are drawn as rows of (rows, n) `integers` calls, never more
     rows than two-class resamples are still missing; the generator's
@@ -131,9 +130,7 @@ def train_bootstrap_ensemble(
         # degenerate single-member ensemble: duplicate so invariants hold
         normals = np.vstack([normals, normals])
         weights = np.array([0.5, 0.5])
-    spec = EnsembleSpec(normals, weights)
-    C = ensemble_operator(spec)
-    return spec, C, linalg.eig_hermitian(C)
+    return EnsembleSpec(normals, weights)
 
 
 @dataclass
@@ -146,22 +143,19 @@ class ClassificationResult:
 
 def classify_by_eigenspace(
     psi: np.ndarray,
-    C: np.ndarray | linalg.EigenDecomposition,
+    dec: linalg.EigenDecomposition,
     bits: int = 10,
 ) -> ClassificationResult:
-    """Phase-estimate e^{-iC} on psi for an ensemble operator C (clean,
-    `ensemble_operator(spec)`, or attacked, `AttackReport.operator`) and
-    aggregate sample mass on positive vs negative eigenphase bands; the
-    class is the sign of mass_plus - 1/2 with exact ties resolved to +1.
-    C may also be given as its eigendecomposition
-    (`linalg.eig_hermitian(C)` or `AttackReport.decomposition`), which the
-    phase estimation reads; an operator is decomposed here.  The masses are
-    read from the exact phase-estimation distribution.
+    """Phase-estimate e^{-iC} on psi for an ensemble operator C, given by
+    its eigendecomposition (clean, `EnsembleSpec.decomposition`, or
+    attacked, `AttackReport.decomposition`), and aggregate sample mass on
+    positive vs negative eigenphase bands; the class is the sign of
+    mass_plus - 1/2 with exact ties resolved to +1.  The masses are read
+    from the exact phase-estimation distribution.
     """
     psi = np.asarray(psi, dtype=np.complex128)
     if abs(np.linalg.norm(psi) - 1.0) > 1e-9:
         raise ValueError("input state must be unit norm")
-    dec = C if isinstance(C, linalg.EigenDecomposition) else linalg.eig_hermitian(C)
 
     # eigenvalue E of C maps to phase (-E/2pi) mod 1: positive band is the
     # upper half of the phase circle (phase in (1/2, 1)), negative the lower
@@ -254,32 +248,20 @@ def _flip_set(weights: np.ndarray, alpha: float, targets: tuple = ()) -> tuple:
     return flipped, used
 
 
-def attack_ensemble(
-    spec: EnsembleSpec,
-    attack: AttackSpec,
-    C: np.ndarray | None = None,
-    eigenvalues: np.ndarray | None = None,
-) -> AttackReport:
+def attack_ensemble(spec: EnsembleSpec, attack: AttackSpec) -> AttackReport:
     """Negate the classifiers of a set F holding at most alpha weight mass,
     C' = C - 2 sum_{j in F} b_j R_j, and report the operator, its
-    eigendecomposition and the operator and eigenvalue shifts, asserting
-    both stay within 2 alpha.
-
-    C = ensemble_operator(spec) and its ascending eigenvalues are built
-    here unless the caller passes them, as a caller attacking one ensemble
-    at several alphas does.
+    eigendecomposition and the operator and eigenvalue shifts against the
+    spec's C and eigenvalues, asserting both stay within 2 alpha.
     """
-    if C is None:
-        C = ensemble_operator(spec)
-    if eigenvalues is None:
-        eigenvalues = linalg.eig_hermitian(C).eigenvalues
+    C = spec.operator
     flipped, used = _flip_set(spec.weights, attack.alpha, attack.target_indices)
     Cp = C - 2.0 * _reflection_sum(spec.normals[flipped], spec.weights[flipped])
     norm_shift = linalg.norm(Cp - C)
     if norm_shift > 2 * used + 1e-10:
         raise AssertionError("operator shift exceeded 2 alpha")
     dec = linalg.eig_hermitian(Cp)
-    eig_shift = float(np.max(np.abs(eigenvalues - dec.eigenvalues)))
+    eig_shift = float(np.max(np.abs(spec.decomposition.eigenvalues - dec.eigenvalues)))
     if eig_shift > 2 * used + 1e-10:
         raise AssertionError("eigenvalue shift exceeded 2 alpha")
     return AttackReport(
@@ -316,6 +298,6 @@ def mean_attack_construction(n_classifiers: int) -> dict:
         "psi": psi,
         "attacked_operator": C_attacked,
         "honest_expectation": target,
-        "clean_class": classify_by_mean(psi, ensemble_operator(spec)).label,
+        "clean_class": classify_by_mean(psi, spec.operator).label,
         "attacked_expectation": float(np.real(psi @ C_attacked @ psi)),
     }

@@ -237,21 +237,19 @@ def run_boost(cfg: dict, seed: int, out_dir: str) -> int:
              rng.normal(-1.5, 0.4, (n - n // 2, cfg["dim"]))]
         )
         y = np.array([1] * (n // 2) + [-1] * (n - n // 2))
-        # training builds and decomposes C once; the gap and every attack
-        # reuse both
-        spec, C, dec = boosting.train_bootstrap_ensemble(
-            X, y, cfg["n_classifiers"], rng
-        )
-        gap = float(2.0 * np.min(np.abs(dec.eigenvalues)))
+        # the spec holds C and its decomposition; the gap, the run and every
+        # attack read both from it
+        spec = boosting.train_bootstrap_ensemble(X, y, cfg["n_classifiers"], rng)
+        gap = float(2.0 * np.min(np.abs(spec.decomposition.eigenvalues)))
         v = np.concatenate([X[0], [1.0]])
         psi = v / np.linalg.norm(v)
-        clean = boosting.classify_by_eigenspace(psi, dec, bits=cfg["bits"])
-        mean = boosting.classify_by_mean(psi, C)
+        clean = boosting.classify_by_eigenspace(
+            psi, spec.decomposition, bits=cfg["bits"]
+        )
+        mean = boosting.classify_by_mean(psi, spec.operator)
         for alpha in cfg["alphas"]:
             # attack_ensemble asserts the 2 alpha bound on both shifts
-            rep = boosting.attack_ensemble(
-                spec, boosting.AttackSpec(alpha=alpha), C, dec.eigenvalues
-            )
+            rep = boosting.attack_ensemble(spec, boosting.AttackSpec(alpha=alpha))
             attacked = boosting.classify_by_eigenspace(
                 psi, rep.decomposition, bits=cfg["bits"]
             )

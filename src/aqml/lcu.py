@@ -61,20 +61,19 @@ def _greedy_edge_coloring(rows, cols, dim: int) -> np.ndarray:
 
 def one_sparse_decompose(H) -> list:
     """Split a sparse Hermitian matrix into one-sparse Hermitian layers,
-    returned as a list of (dim, dim) arrays that sum to the matrix.
+    returned as a list of (dim, dim) arrays that sum to the matrix with
+    every entry at or below SPARSITY_THRESHOLD zeroed.
 
-    The diagonal gets a dedicated term, first; the off-diagonal support
-    graph is edge-colored greedily (at most 2d-1 colors for max off-diagonal
-    degree d), each color class being a matching and hence one-sparse.
+    The stored diagonal gets a dedicated term, first; the off-diagonal
+    support graph is edge-colored greedily (at most 2d-1 colors for max
+    off-diagonal degree d), each color class being a matching and hence
+    one-sparse.
     """
     A = linalg.check_hermitian(H)
     rows, cols = _support(A)
     colors = _greedy_edge_coloring(rows, cols, A.shape[0])
     terms = []
     for c in np.unique(colors):
-        if c == 0:
-            terms.append(np.diag(np.diag(A)))
-            continue
         p, q = rows[colors == c], cols[colors == c]
         term = np.zeros_like(A)
         term[p, q] = A[p, q]

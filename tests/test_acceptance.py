@@ -376,15 +376,13 @@ def test_criterion_10_boosting_adversary():
     w = np.array([0.6, 0.8, 0.0])
     spec3 = boosting.EnsembleSpec(np.tile(w, (3, 1)), np.full(3, 1.0 / 3.0))
     psi3 = np.concatenate([w[:2] / np.linalg.norm(w[:2]), [0.0]])
-    clean3 = boosting.classify_by_eigenspace(
-        psi3, boosting.ensemble_operator(spec3), bits=10
-    ).label
+    clean3 = boosting.classify_by_eigenspace(psi3, spec3.decomposition, bits=10).label
     exhaustive_ok = True
     for j in range(3):
         rep = boosting.attack_ensemble(
             spec3, boosting.AttackSpec(alpha=1.0 / 3.0, target_indices=(j,))
         )
-        att = boosting.classify_by_eigenspace(psi3, rep.operator, bits=10)
+        att = boosting.classify_by_eigenspace(psi3, rep.decomposition, bits=10)
         if att.label != clean3:
             exhaustive_ok = False
 
@@ -405,17 +403,17 @@ def test_criterion_10_boosting_adversary():
         wts = rng.random(n)
         wts /= wts.sum()
         spec = boosting.EnsembleSpec(np.array(cls), wts)
-        C = boosting.ensemble_operator(spec)
+        C = spec.operator
         gamma = 2.0 * float(np.min(np.abs(np.linalg.eigvalsh(C))))
         if gamma < 0.05:
             continue
         psi = np.zeros(dim)
         psi[0] = 1.0
-        clean = boosting.classify_by_eigenspace(psi, C, bits=10).label
+        clean = boosting.classify_by_eigenspace(psi, spec.decomposition, bits=10).label
         rep = boosting.attack_ensemble(
             spec, boosting.AttackSpec(alpha=0.9 * gamma / 4.0)
         )
-        att = boosting.classify_by_eigenspace(psi, rep.operator, bits=10)
+        att = boosting.classify_by_eigenspace(psi, rep.decomposition, bits=10)
         if att.label != clean:
             rand_ok = False
 

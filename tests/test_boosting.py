@@ -113,14 +113,21 @@ def weighted_ensembles(draw):
 def test_operators_match_per_classifier_loop(ensemble, alpha):
     normals, weights, targets = ensemble
     spec = boosting.EnsembleSpec(normals, weights)
-    C = boosting.ensemble_operator(spec)
+    C, dec = spec.operator, spec.decomposition
     assert np.max(np.abs(C - reflection_sum_loop(normals, weights))) <= 1e-12
+    # the spec's decomposition is the one eig_hermitian gives its operator
+    own = linalg.eig_hermitian(C)
+    assert np.array_equal(dec.eigenvalues, own.eigenvalues)
+    assert np.array_equal(dec.eigenvectors, own.eigenvectors)
     Cp_ref, used_ref = flip_attack_loop(normals, weights, alpha, targets)
     rep = boosting.attack_ensemble(
         spec, boosting.AttackSpec(alpha=alpha, target_indices=targets)
     )
     assert np.max(np.abs(rep.operator - Cp_ref)) <= 1e-12
     assert rep.alpha_used == used_ref
+    # the eigenvalue shift is taken against the spec's eigenvalues
+    shifts = np.abs(dec.eigenvalues - rep.decomposition.eigenvalues)
+    assert rep.eig_shift_max == np.max(shifts)
 
 
 def test_classifier_operator_is_reflection():
@@ -138,7 +145,7 @@ def test_classifier_operator_is_reflection():
 def test_anticommuting_pair_eigenvalues():
     # equal weights on two reflections about normals at 45 degrees give
     # C = (R1 + R2)/2 with eigenvalues +-1/sqrt2
-    C = boosting.ensemble_operator(two_reflections_spec())
+    C = two_reflections_spec().operator
     vals = np.sort(np.linalg.eigvalsh(C))
     assert vals[0] == pytest.approx(-1.0 / math.sqrt(2.0), abs=1e-12)
     assert vals[1] == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
@@ -151,8 +158,7 @@ def test_ensemble_norm_at_most_one():
         normals = rng.normal(size=(n, 3))
         w = rng.random(n)
         spec = boosting.EnsembleSpec(normals, w / w.sum())
-        C = boosting.ensemble_operator(spec)
-        assert linalg.norm(C) <= 1.0 + 1e-10
+        assert linalg.norm(spec.operator) <= 1.0 + 1e-10
 
 
 def test_weights_validation():
@@ -169,20 +175,17 @@ def test_weights_validation():
 
 
 def test_eigenspace_classification_on_eigenvectors():
-    spec = two_reflections_spec()
-    C = boosting.ensemble_operator(spec)
-    dec = linalg.eig_hermitian(C)
+    dec = two_reflections_spec().decomposition
     plus = dec.eigenvectors[:, np.argmax(dec.eigenvalues)]
     minus = dec.eigenvectors[:, np.argmin(dec.eigenvalues)]
-    res_p = boosting.classify_by_eigenspace(plus, C, bits=10)
-    res_m = boosting.classify_by_eigenspace(minus, C, bits=10)
+    res_p = boosting.classify_by_eigenspace(plus, dec, bits=10)
+    res_m = boosting.classify_by_eigenspace(minus, dec, bits=10)
     assert res_p.label == 1 and res_p.mass_plus >= 0.99
     assert res_m.label == -1 and res_m.mass_plus <= 0.01
 
 
 def test_classify_by_mean_matches_expectation_sign():
-    spec = two_reflections_spec()
-    C = boosting.ensemble_operator(spec)
+    C = two_reflections_spec().operator
     res = boosting.classify_by_mean(np.array([1.0, 0.0]), C)
     expect = float(np.array([1.0, 0.0]) @ C @ np.array([1.0, 0.0]))
     assert res.label == (1 if expect > 0 else -1)
@@ -198,14 +201,9 @@ def test_bootstrap_training_basics():
     ])
     y = np.array([1] * (n // 2) + [-1] * (n // 2))
     replay = copy.deepcopy(rng)
-    spec, C, dec = boosting.train_bootstrap_ensemble(X, y, count=8, rng=rng)
+    spec = boosting.train_bootstrap_ensemble(X, y, count=8, rng=rng)
     assert spec.normals.shape == (8, 3)
     assert spec.weights.sum() == pytest.approx(1.0)
-    # the returned operator and decomposition are the spec's
-    assert np.array_equal(C, boosting.ensemble_operator(spec))
-    own = linalg.eig_hermitian(C)
-    assert np.array_equal(dec.eigenvalues, own.eigenvalues)
-    assert np.array_equal(dec.eigenvectors, own.eigenvectors)
     excluded = []
     for row in spec.normals:
         idx = replay.integers(0, n, size=n)
@@ -267,37 +265,16 @@ def test_batched_bootstrap_matches_per_resample_draws(
     want = bootstrap_loop(X, y, count, ref_rng)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(boosting, "_BOOTSTRAP_BATCH_VALUES", batch_values)
-        spec = boosting.train_bootstrap_ensemble(X, y, count, rng)[0]
+        spec = boosting.train_bootstrap_ensemble(X, y, count, rng)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     assert np.array_equal(spec.normals, want)
-
-
-def test_attack_reuses_the_callers_operator_and_eigenvalues():
-    rng = stream(0, "boost", "reuse")
-    spec = boosting.EnsembleSpec(rng.normal(size=(7, 4)), np.full(7, 1.0 / 7.0))
-    C = boosting.ensemble_operator(spec)
-    dec = linalg.eig_hermitian(C)
-    psi = rng.normal(size=4)
-    psi /= np.linalg.norm(psi)
-    for alpha in (0.0, 0.2, 0.45):
-        attack = boosting.AttackSpec(alpha=alpha)
-        own = boosting.attack_ensemble(spec, attack)
-        reused = boosting.attack_ensemble(spec, attack, C, dec.eigenvalues)
-        assert np.array_equal(own.operator, reused.operator)
-        assert (own.norm_shift, own.eig_shift_max) == (reused.norm_shift,
-                                                      reused.eig_shift_max)
-        # the report's decomposition is the one the classifier would take
-        from_operator = boosting.classify_by_eigenspace(psi, own.operator)
-        from_decomposition = boosting.classify_by_eigenspace(psi, own.decomposition)
-        assert from_operator == from_decomposition
-    assert boosting.classify_by_eigenspace(psi, C) == boosting.classify_by_eigenspace(psi, dec)
 
 
 def test_bootstrap_single_member_duplicated():
     rng = stream(1, "boost", "single")
     X = rng.normal(size=(40, 2))
     y = np.array([1] * 20 + [-1] * 20)
-    spec = boosting.train_bootstrap_ensemble(X, y, count=1, rng=rng)[0]
+    spec = boosting.train_bootstrap_ensemble(X, y, count=1, rng=rng)
     assert spec.normals.shape == (2, 3)
     assert np.allclose(spec.normals[0], spec.normals[1])
 
@@ -319,6 +296,27 @@ def test_attack_one_of_three_exact_shift():
     assert rep.alpha_used == pytest.approx(1.0 / 3.0)
 
 
+def test_unit_norm_and_attack_bound_assertions_raise(monkeypatch):
+    # valid inputs never trip them, so the checks are fed shifted spectra
+    # and a large operator shift
+    spec = two_reflections_spec()
+    attack = boosting.AttackSpec(alpha=0.0)
+    exact = linalg.eig_hermitian
+
+    def shifted(H):
+        dec = exact(H)
+        return linalg.EigenDecomposition(dec.eigenvalues + 1.0, dec.eigenvectors)
+
+    monkeypatch.setattr(linalg, "eig_hermitian", shifted)
+    with pytest.raises(AssertionError, match="unit norm"):
+        two_reflections_spec()
+    with pytest.raises(AssertionError, match="eigenvalue shift"):
+        boosting.attack_ensemble(spec, attack)
+    monkeypatch.setattr(linalg, "norm", lambda A: 1.0)
+    with pytest.raises(AssertionError, match="operator shift"):
+        boosting.attack_ensemble(spec, attack)
+
+
 def test_attack_eig_shifts_bounded():
     rng = stream(0, "boost", "atk")
     for trial in range(30):
@@ -335,16 +333,15 @@ def test_eigenspace_stable_under_small_attack():
     # simultaneous eigenvector cannot flip
     normals = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     spec = boosting.EnsembleSpec(normals, np.full(4, 0.25))
-    C = boosting.ensemble_operator(spec)
-    gamma = 2.0 * float(np.min(np.abs(np.linalg.eigvalsh(C))))
+    gamma = 2.0 * float(np.min(np.abs(np.linalg.eigvalsh(spec.operator))))
     psi = np.array([1.0, 0.0])
-    clean = boosting.classify_by_eigenspace(psi, C, bits=10)
+    clean = boosting.classify_by_eigenspace(psi, spec.decomposition, bits=10)
     alpha = gamma / 4.0 - 0.05
     assert alpha > 0
     rep = boosting.attack_ensemble(
         spec, boosting.AttackSpec(alpha=alpha, target_indices=(3,))
     )
-    attacked = boosting.classify_by_eigenspace(psi, rep.operator, bits=10)
+    attacked = boosting.classify_by_eigenspace(psi, rep.decomposition, bits=10)
     assert attacked.label == clean.label
 
 

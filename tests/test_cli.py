@@ -516,15 +516,18 @@ def _count_calls(monkeypatch, module, name, counts, key=None):
 def test_default_runs_build_and_decompose_each_operator_once(
     tmp_path, capsys, monkeypatch, sub
 ):
-    # per seed: C is built and decomposed once, in training, and the gap,
-    # the run and every attack reuse both; each C' is built and decomposed
-    # once.  qpca builds the clean core and every alpha's poisoned core in
-    # one batched median call, and takes the poisoning norms from one SVD.
+    # per seed: C is built and decomposed once, with its EnsembleSpec, and
+    # the gap, the run and every attack read both from the spec, so the
+    # unit-norm check on C takes no SVD; each C' is built and decomposed
+    # once, and one SVD gives its shift.  qpca builds the clean core and
+    # every alpha's poisoned core in one batched median call, and takes the
+    # poisoning norms from one SVD.
     # Inputs are checked once: one RawDataset (qpca) or EnsembleSpec (boost)
     # per seed, and one Hermitian check per decomposition.
     counts = {}
     _count_calls(monkeypatch, linalg, "eig_hermitian", counts)
     _count_calls(monkeypatch, linalg, "check_hermitian", counts)
+    _count_calls(monkeypatch, linalg, "norm", counts)
     _count_calls(monkeypatch, embedding.RawDataset, "__post_init__", counts, "RawDataset")
     _count_calls(monkeypatch, boosting.EnsembleSpec, "__post_init__", counts, "EnsembleSpec")
     _count_calls(monkeypatch, boosting, "_reflection_sum", counts)
@@ -536,7 +539,8 @@ def test_default_runs_build_and_decompose_each_operator_once(
     seeds, alphas = cfg["seeds"], len(cfg["alphas"])
     if sub == "boost":
         assert counts["_reflection_sum"] <= seeds * (1 + alphas)
-        assert counts["eig_hermitian"] <= seeds * (1 + alphas)
+        assert counts["eig_hermitian"] == seeds * (1 + alphas)
+        assert counts["norm"] == seeds * alphas
         assert counts["EnsembleSpec"] == seeds
         assert "robust_pca_core" not in counts
         assert "robust_pca_matrix" not in counts

@@ -65,7 +65,8 @@ def test_decompose_reconstruction_and_one_sparsity():
 def _sparse_hermitian(draw):
     """A Hermitian matrix of dim 1-10 with a random support pattern (any
     sparsity, empty rows and a zero or full diagonal included), real or
-    complex entries, each either exactly 0 or above the sparsity threshold."""
+    complex entries, each exactly 0, above the sparsity threshold or, in
+    some draws, below it."""
     dim = draw(st.integers(1, 10))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     density = draw(st.sampled_from([0.0, 0.1, 0.3, 0.7, 1.0]))
@@ -73,6 +74,9 @@ def _sparse_hermitian(draw):
     values = rng.uniform(0.001, 1.0, (dim, dim)) * rng.choice([-1.0, 1.0], (dim, dim))
     if draw(st.booleans()):
         values = values * np.exp(1j * rng.uniform(0, 2 * np.pi, (dim, dim)))
+    if draw(st.booleans()):
+        # magnitudes in [1e-15, 1e-12): structural zeros to the decomposition
+        values[rng.random((dim, dim)) < 0.3] *= lcu.SPARSITY_THRESHOLD
     A = np.where(support, values, 0.0)
     A = np.triu(A, 1) + np.triu(A, 1).conj().T + np.diag(np.real(np.diag(A)))
     return A
@@ -80,15 +84,19 @@ def _sparse_hermitian(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(A=_sparse_hermitian())
+# a sub-threshold diagonal entry beside a stored diagonal entry, and beside
+# none: both are dropped
+@example(A=np.array([[1e-13, 0.5], [0.5, 0.3]]))
+@example(A=np.array([[1e-13, 0.5], [0.5, 0.0]]))
 def test_decomposition_layers_are_one_sparse_and_sum_to_the_matrix(A):
     terms = lcu.one_sparse_decompose(A)
     for term in terms:
         nz = np.abs(term) > lcu.SPARSITY_THRESHOLD
         assert nz.sum(axis=0).max() <= 1 and nz.sum(axis=1).max() <= 1
         assert np.array_equal(term, term.conj().T)
-    # every entry lands in exactly one layer, so the sum is exact
+    # every stored entry lands in exactly one layer, so the sum is exact
     total = np.sum(terms, axis=0) if terms else np.zeros_like(A)
-    assert np.array_equal(total, A)
+    assert np.array_equal(total, np.where(np.abs(A) > lcu.SPARSITY_THRESHOLD, A, 0.0))
 
 
 def test_one_sparse_norm_is_max_entry():
